@@ -29,7 +29,6 @@ from .core import (
     euclid_params_from_triple,
     euclid_triple,
     extended_triple,
-    gcd,
     is_perfect_square,
     is_primitive_lattice,
     lattice_from_triple,
@@ -64,7 +63,6 @@ __all__ = [
     "NotInClassC",
     "InvalidDecomposition",
     "BoundTooLarge",
-    "gcd",
     "is_perfect_square",
     "canonicalize",
     "triple_from_lattice",

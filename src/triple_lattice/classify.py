@@ -19,6 +19,7 @@ from .core import (
     EuclidParams,
     LatticeIndex,
     Triple,
+    _require_positive_int,
     canonicalize,
     euclid_params_from_triple,
     is_primitive_lattice,
@@ -71,10 +72,7 @@ def classify(x: int, y: int, z: int) -> ClassReport:
     candidate yields a report with every flag false, never an exception.
     """
     for name, value in (("x", x), ("y", y), ("z", z)):
-        if not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        _require_positive_int(name, value)
     lo, mid, hi = sorted((x, y, z))
     if lo * lo + mid * mid != hi * hi:
         return ClassReport(in_P=False, in_E=False, in_C=False, in_P0=False)

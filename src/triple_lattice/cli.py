@@ -2,8 +2,10 @@
 
 Subcommands: gen, inv, enum, series, classify, verify, family.  Records go
 to stdout as json-lines (default), csv or table; json-lines and csv are
-byte-stable, table is for humans.  Exit codes: 0 success, 2 argument
-error, 3 overflow, 4 not in the lattice class, 5 verification discrepancy.
+byte-stable, table is for humans.  Exit codes: 0 success (also when the
+reader closes stdout early, EPIPE), 2 argument error, 3 overflow (a result
+or --c-max above 2^64 - 1), 4 not in the lattice class, 5 verification
+discrepancy.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import count, starmap
 from math import gcd
 
 from .classify import DEFAULT_ORACLE_CEILING, ChainReport, classify, verify_chain
@@ -28,8 +31,6 @@ from .series import (
     extended_enumerate_indexed,
     lattice_enumerate_indexed,
     odd_series,
-    pythagorean_family,
-    platonic_family,
 )
 
 FORMAT_ENV = "TRIPLE_LATTICE_FORMAT"
@@ -40,6 +41,8 @@ EXIT_USAGE = 2
 EXIT_OVERFLOW = 3
 EXIT_NOT_IN_C = 4
 EXIT_DISCREPANCY = 5
+
+LATTICE_FIELDS = ("m", "n", "a", "b", "c", "primitive")
 
 
 def _positive_int(text: str) -> int:
@@ -87,14 +90,14 @@ def _resolve_format(args: argparse.Namespace) -> str:
     return fmt
 
 
-def _lattice_record(m: int, n: int, t: Triple, with_sides: bool = False) -> dict:
+def _lattice_record(idx: LatticeIndex, t: Triple, with_sides: bool = False) -> dict:
     rec = {
-        "m": m,
-        "n": n,
+        "m": idx.m,
+        "n": idx.n,
         "a": t.a,
         "b": t.b,
         "c": t.c,
-        "primitive": is_primitive_lattice(LatticeIndex(m, n)),
+        "primitive": is_primitive_lattice(idx),
     }
     if with_sides:
         rec["d"] = t.c - t.b
@@ -103,10 +106,10 @@ def _lattice_record(m: int, n: int, t: Triple, with_sides: bool = False) -> dict
 
 
 def cmd_gen(args: argparse.Namespace, fmt: str) -> int:
-    t = triple_from_lattice(LatticeIndex(args.m, args.n))
+    idx = LatticeIndex(args.m, args.n)
     _emit(
-        [_lattice_record(args.m, args.n, t, with_sides=True)],
-        ("m", "n", "a", "b", "c", "primitive", "d", "e"),
+        [_lattice_record(idx, triple_from_lattice(idx), with_sides=True)],
+        LATTICE_FIELDS + ("d", "e"),
         fmt,
     )
     return EXIT_OK
@@ -124,11 +127,8 @@ def cmd_inv(args: argparse.Namespace, fmt: str) -> int:
 
 def cmd_enum(args: argparse.Namespace, fmt: str) -> int:
     if args.mode == "lattice":
-        records = (
-            _lattice_record(idx.m, idx.n, t)
-            for idx, t in lattice_enumerate_indexed(args.c_max)
-        )
-        fields = ("m", "n", "a", "b", "c", "primitive")
+        records = starmap(_lattice_record, lattice_enumerate_indexed(args.c_max))
+        fields = LATTICE_FIELDS
     else:
         records = (
             {
@@ -148,31 +148,24 @@ def cmd_enum(args: argparse.Namespace, fmt: str) -> int:
 
 def cmd_series(args: argparse.Namespace, fmt: str) -> int:
     if args.kind == "odd":
+        points = (LatticeIndex(args.index, n) for n in count(1))
         triples = odd_series(args.index, args.c_max)
-        records = [
-            _lattice_record(args.index, n, t) for n, t in enumerate(triples, 1)
-        ]
     else:
+        points = (LatticeIndex(m, args.index) for m in count(1))
         triples = even_series(args.index, args.c_max)
-        records = [
-            _lattice_record(m, args.index, t) for m, t in enumerate(triples, 1)
-        ]
-    _emit(records, ("m", "n", "a", "b", "c", "primitive"), fmt)
+    # map stops with the shorter stream: triples, which is bounded.
+    _emit(map(_lattice_record, points, triples), LATTICE_FIELDS, fmt)
     return EXIT_OK
 
 
 def cmd_family(args: argparse.Namespace, fmt: str) -> int:
+    ks = range(1, args.count + 1)
     if args.kind == "pythagorean":
-        records = [
-            _lattice_record(1, n, pythagorean_family(n))
-            for n in range(1, args.count + 1)
-        ]
+        points = (LatticeIndex(1, k) for k in ks)
     else:
-        records = [
-            _lattice_record(m, 1, platonic_family(m))
-            for m in range(1, args.count + 1)
-        ]
-    _emit(records, ("m", "n", "a", "b", "c", "primitive"), fmt)
+        points = (LatticeIndex(k, 1) for k in ks)
+    records = (_lattice_record(idx, triple_from_lattice(idx)) for idx in points)
+    _emit(records, LATTICE_FIELDS, fmt)
     return EXIT_OK
 
 
@@ -332,6 +325,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         fmt = _resolve_format(args)
         return args.handler(args, fmt)
+    except BrokenPipeError:
+        # The reader stopped early (`... | head -1`): a clean exit.  Point
+        # stdout at devnull so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW

@@ -27,7 +27,6 @@ __all__ = [
     "Decomposition",
     "NotInClassC",
     "InvalidDecomposition",
-    "gcd",
     "is_perfect_square",
     "canonicalize",
     "triple_from_lattice",
@@ -187,11 +186,16 @@ def triple_from_lattice(idx: LatticeIndex) -> Triple:
     The result always has a odd, b even, c odd, with c - b = (2m-1)^2 and
     c - a = 2n^2.  Raises OverflowError past the 64-bit width.
     """
-    m, n = idx.m, idx.n
-    a = 4 * m * m + 4 * n * m - 4 * m - 2 * n + 1
-    b = 2 * n * n + 4 * n * m - 2 * n
-    c = a + 2 * n * n
-    return Triple(a, b, c)
+    return Triple(*_lattice_abc(idx.m, idx.n))
+
+
+def _lattice_abc(m: int, n: int) -> tuple[int, int, int]:
+    """Unvalidated (a, b, c) at (m, n), via (d, e, f) = ((2m-1)^2, 2n^2, 2n(2m-1))."""
+    r = 2 * m - 1
+    f = 2 * n * r
+    e = 2 * n * n
+    a = r * r + f
+    return a, e + f, a + e
 
 
 def lattice_from_triple(t: Triple) -> LatticeIndex:
@@ -236,11 +240,13 @@ def extended_triple(idx: ExtendedIndex) -> Triple:
     a = mu(2n + mu), b = 2n(n + mu), c = 2n^2 + mu(2n + mu); identical to
     euclid_triple(u=n+mu, v=n).
     """
-    mu, n = idx.mu, idx.n
+    return Triple(*_extended_abc(idx.mu, idx.n))
+
+
+def _extended_abc(mu: int, n: int) -> tuple[int, int, int]:
+    """(a, b, c) at extended point (mu, n) as plain ints, unvalidated."""
     a = mu * (2 * n + mu)
-    b = 2 * n * (n + mu)
-    c = 2 * n * n + a
-    return Triple(a, b, c)
+    return a, 2 * n * (n + mu), 2 * n * n + a
 
 
 def euclid_triple(p: EuclidParams) -> Triple:

@@ -1,22 +1,27 @@
 """Bounded, ordered streaming of triple series and whole lattice slices.
 
-Streams are plain single-consumer iterators.  The canonical order for
-merged slices is hypotenuse ascending, ties broken by the odd leg
-ascending; per-column streams are already c-ascending, so slices come out
-of a lazy k-way merge.
+Every stream walks a line of the index lattice on which c rises (a
+column, a row, the diagonal) or merges all columns, carrying plain
+(c, a, b, i, j) tuples; Triple and index objects are built only at the
+public edge.  Streams are single-consumer iterators; merged slices come
+out c ascending, then a.  Each stream checks c_max <= U64_MAX once, at
+call time, which bounds every component it can yield.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator
-from math import isqrt
+from collections.abc import Callable, Iterable, Iterator
+from itertools import count, repeat
 
 from .core import (
+    U64_MAX,
     ExtendedIndex,
     LatticeIndex,
     Triple,
-    extended_triple,
+    _extended_abc,
+    _lattice_abc,
+    _require_positive_int,
     triple_from_lattice,
 )
 
@@ -36,118 +41,112 @@ __all__ = [
 #: Hypotenuse of the smallest triple; bounds below it yield empty streams.
 MIN_HYPOTENUSE = 5
 
-
-def _require_positive(name: str, value: int) -> None:
-    if not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+#: A forward formula (i, j) -> (a, b, c) on plain ints, and a stream element.
+_Form = Callable[[int, int], tuple[int, int, int]]
+_Record = tuple[int, int, int, int, int]
 
 
-def _column(m: int, c_max: int) -> Iterator[tuple[LatticeIndex, Triple]]:
-    n = 1
-    while True:
-        idx = LatticeIndex(m, n)
-        t = triple_from_lattice(idx)
-        if t.c > c_max:
+def _check_bound(c_max: int) -> None:
+    _require_positive_int("c_max", c_max)
+    if c_max > U64_MAX:
+        raise OverflowError(f"c_max = {c_max} exceeds the checked 64-bit width")
+
+
+def _walk(form: _Form, points: Iterable[tuple[int, int]], c_max: int) -> Iterator[_Record]:
+    """Yield (c, a, b, i, j) at each point (i, j) in turn until c > c_max."""
+    for i, j in points:
+        a, b, c = form(i, j)
+        if c > c_max:
             return
-        yield idx, t
-        n += 1
+        yield c, a, b, i, j
 
 
-def _row(n: int, c_max: int) -> Iterator[tuple[LatticeIndex, Triple]]:
-    m = 1
-    while True:
-        idx = LatticeIndex(m, n)
-        t = triple_from_lattice(idx)
-        if t.c > c_max:
-            return
-        yield idx, t
-        m += 1
+def _merge(form: _Form, c_max: int) -> Iterator[_Record]:
+    """Yield (c, a, b, i, j) over every column i of form, c then a ascending.
+
+    The heap holds one record per admitted column; column i + 1 joins when
+    column i's head (j = 1) is emitted.  c rises along each column and heads
+    rise with i, so no unadmitted column holds an earlier record, and memory
+    follows the columns the frontier has reached, not c_max.
+    """
+    heap: list[_Record] = []
+
+    def push(i: int, j: int) -> None:
+        a, b, c = form(i, j)
+        if c <= c_max:
+            heapq.heappush(heap, (c, a, b, i, j))
+
+    push(1, 1)
+    while heap:
+        record = heapq.heappop(heap)
+        yield record
+        _, _, _, i, j = record
+        push(i, j + 1)
+        if j == 1:
+            push(i + 1, 1)
 
 
-def _extended_column(mu: int, c_max: int) -> Iterator[tuple[ExtendedIndex, Triple]]:
-    n = 1
-    while True:
-        idx = ExtendedIndex(mu, n)
-        t = extended_triple(idx)
-        if t.c > c_max:
-            return
-        yield idx, t
-        n += 1
+def _triples(records: Iterator[_Record]) -> Iterator[Triple]:
+    return (Triple(a, b, c) for c, a, b, _, _ in records)
 
 
 def odd_series(m: int, c_max: int) -> Iterator[Triple]:
     """Stream the triples with c - b = (2m-1)^2 and c <= c_max, c ascending."""
-    _require_positive("m", m)
-    _require_positive("c_max", c_max)
-    return (t for _, t in _column(m, c_max))
+    _require_positive_int("m", m)
+    _check_bound(c_max)
+    return _triples(_walk(_lattice_abc, zip(repeat(m), count(1)), c_max))
 
 
 def even_series(n: int, c_max: int) -> Iterator[Triple]:
     """Stream the triples with c - a = 2n^2 and c <= c_max, c ascending."""
-    _require_positive("n", n)
-    _require_positive("c_max", c_max)
-    return (t for _, t in _row(n, c_max))
+    _require_positive_int("n", n)
+    _check_bound(c_max)
+    return _triples(_walk(_lattice_abc, zip(count(1), repeat(n)), c_max))
 
 
 def lattice_enumerate_indexed(c_max: int) -> Iterator[tuple[LatticeIndex, Triple]]:
     """Stream every lattice triple with c <= c_max along with its (m, n).
 
-    Order: c ascending, then a ascending.  Column m joins the merge iff its
-    head triple at n = 1 fits, i.e. 4m^2 + 1 <= c_max.
+    Order: c ascending, then a.  Column m joins at its head, c = 4m^2 + 1.
     """
-    _require_positive("c_max", c_max)
-    m_top = isqrt((c_max - 1) // 4)
-    columns = (_column(m, c_max) for m in range(1, m_top + 1))
-    return heapq.merge(*columns, key=lambda pair: (pair[1].c, pair[1].a))
+    _check_bound(c_max)
+    records = _merge(_lattice_abc, c_max)
+    return ((LatticeIndex(m, n), Triple(a, b, c)) for c, a, b, m, n in records)
 
 
 def lattice_enumerate(c_max: int) -> Iterator[Triple]:
     """Stream every lattice triple with c <= c_max, c ascending then a."""
-    return (t for _, t in lattice_enumerate_indexed(c_max))
+    _check_bound(c_max)
+    return _triples(_merge(_lattice_abc, c_max))
 
 
 def extended_enumerate_indexed(c_max: int) -> Iterator[tuple[ExtendedIndex, Triple]]:
     """Stream every Euclid-form triple with c <= c_max along with its (mu, n).
 
-    Same ordering rule as lattice_enumerate_indexed; column mu joins iff its
-    head at n = 1 fits, i.e. mu^2 + 2mu + 2 <= c_max.
+    Order: c ascending, then a.  Column mu joins at its head, c = mu^2 + 2mu + 2.
     """
-    _require_positive("c_max", c_max)
-    mu_top = isqrt(c_max - 1) - 1
-    columns = (_extended_column(mu, c_max) for mu in range(1, mu_top + 1))
-    return heapq.merge(*columns, key=lambda pair: (pair[1].c, pair[1].a))
+    _check_bound(c_max)
+    records = _merge(_extended_abc, c_max)
+    return ((ExtendedIndex(mu, n), Triple(a, b, c)) for c, a, b, mu, n in records)
 
 
 def extended_enumerate(c_max: int) -> Iterator[Triple]:
     """Stream every Euclid-form triple with c <= c_max, c ascending then a."""
-    return (t for _, t in extended_enumerate_indexed(c_max))
+    _check_bound(c_max)
+    return _triples(_merge(_extended_abc, c_max))
 
 
 def pythagorean_family(n: int) -> Triple:
     """The m = 1 column member (2n+1, 2n^2+2n, 2n^2+2n+1)."""
-    _require_positive("n", n)
-    return Triple(2 * n + 1, 2 * n * n + 2 * n, 2 * n * n + 2 * n + 1)
+    return triple_from_lattice(LatticeIndex(1, n))
 
 
 def platonic_family(m: int) -> Triple:
     """The n = 1 row member (4m^2-1, 4m, 4m^2+1)."""
-    _require_positive("m", m)
-    return Triple(4 * m * m - 1, 4 * m, 4 * m * m + 1)
+    return triple_from_lattice(LatticeIndex(m, 1))
 
 
 def diagonal_multiples(c_max: int) -> Iterator[Triple]:
     """Stream the n = 2m-1 diagonal: the k-th element is (2k-1)^2 * (3, 4, 5)."""
-    _require_positive("c_max", c_max)
-
-    def gen() -> Iterator[Triple]:
-        m = 1
-        while True:
-            t = triple_from_lattice(LatticeIndex(m, 2 * m - 1))
-            if t.c > c_max:
-                return
-            yield t
-            m += 1
-
-    return gen()
+    _check_bound(c_max)
+    return _triples(_walk(_lattice_abc, ((m, 2 * m - 1) for m in count(1)), c_max))

@@ -1,5 +1,7 @@
 """Unit tests for the lattice maps, inverses and triple algebra."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,7 +21,6 @@ from triple_lattice.core import (
     euclid_params_from_triple,
     euclid_triple,
     extended_triple,
-    gcd,
     is_perfect_square,
     is_primitive_lattice,
     lattice_from_triple,
@@ -306,11 +307,6 @@ def test_compose_inverts_decompose(m, n):
 
 
 # -------------------------------------------------------------------- utilities
-
-
-@pytest.mark.parametrize("x,y,g", [(3, 3, 3), (2, 1, 1), (36, 45, 9)])
-def test_gcd_golden(x, y, g):
-    assert gcd(x, y) == g
 
 
 @pytest.mark.parametrize(

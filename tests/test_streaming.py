@@ -1,0 +1,129 @@
+"""Stream memory, up-front bound checks and pipe handling.
+
+Huge bounds never run in this process: they run in a child interpreter
+under a 512 MB address-space limit and a timeout, so a stream that grows
+with its bound fails the test instead of exhausting the machine.
+"""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+import tracemalloc
+from itertools import islice
+from pathlib import Path
+
+import pytest
+
+import triple_lattice
+from triple_lattice.series import (
+    extended_enumerate_indexed,
+    lattice_enumerate_indexed,
+    odd_series,
+)
+
+SRC = str(Path(triple_lattice.__file__).resolve().parents[1])
+LIMIT_BYTES = 512 * 2**20
+TIMEOUT_S = 60
+
+
+def _limit() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (LIMIT_BYTES, LIMIT_BYTES))
+
+
+def _child(*args: str) -> subprocess.Popen:
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.Popen(
+        [sys.executable, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        preexec_fn=_limit,
+    )
+
+
+def _run(*args: str) -> tuple[int, str, str]:
+    proc = _child(*args)
+    out, err = proc.communicate(timeout=TIMEOUT_S)
+    return proc.returncode, out, err
+
+
+@pytest.mark.parametrize("stream", [lattice_enumerate_indexed, extended_enumerate_indexed])
+def test_stream_memory_follows_the_frontier_not_the_bound(stream):
+    expected = list(islice(stream(10**6), 1000))
+    tracemalloc.start()
+    try:
+        got = sum(1 for pair, want in zip(stream(10**10), expected) if pair == want)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 1000
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--c-max", str(2**64)],
+        ["enum", "--c-max", str(2**64), "--mode", "extended"],
+        ["series", "odd", "1", "--c-max", str(10**23)],
+        ["series", "even", "1", "--c-max", str(10**23)],
+    ],
+)
+def test_cli_rejects_bound_past_u64_up_front(argv):
+    code, out, err = _run("-m", "triple_lattice.cli", *argv)
+    assert code == 3
+    assert out == ""
+    assert "64-bit" in err and "Traceback" not in err
+
+
+STREAM_PROBE = """
+import json
+from triple_lattice import U64_MAX, series
+
+calls = {
+    "odd_series": lambda c: series.odd_series(1, c),
+    "even_series": lambda c: series.even_series(1, c),
+    "lattice_enumerate": series.lattice_enumerate,
+    "lattice_enumerate_indexed": series.lattice_enumerate_indexed,
+    "extended_enumerate": series.extended_enumerate,
+    "extended_enumerate_indexed": series.extended_enumerate_indexed,
+    "diagonal_multiples": series.diagonal_multiples,
+}
+missed = []
+for name, call in calls.items():
+    try:
+        call(U64_MAX + 1)
+        missed.append(name)
+    except OverflowError:
+        pass
+idx, t = next(series.lattice_enumerate_indexed(U64_MAX))
+print(json.dumps({"missed": missed, "first": [[idx.m, idx.n], [t.a, t.b, t.c]]}))
+"""
+
+
+def test_every_stream_checks_its_bound_at_call_time():
+    code, out, err = _run("-c", STREAM_PROBE)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["missed"] == []
+    assert report["first"] == [[1, 1], [3, 4, 5]]
+
+
+def test_stream_past_the_width_but_under_its_bound_is_empty():
+    # Only yielded triples meet the width check; c <= c_max <= U64_MAX
+    # bounds them, so the first out-of-bound point is never built.
+    assert list(odd_series(2**32, 100)) == []
+
+
+def test_closed_pipe_is_a_clean_exit():
+    proc = _child("-m", "triple_lattice.cli", "enum", "--c-max", str(10**6))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=TIMEOUT_S)
+    assert json.loads(first) == {"m": 1, "n": 1, "a": 3, "b": 4, "c": 5, "primitive": True}
+    assert proc.returncode == 0
+    assert "Traceback" not in err
