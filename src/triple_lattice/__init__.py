@@ -10,6 +10,7 @@ from .classify import (
     BoundTooLarge,
     ChainReport,
     ClassReport,
+    berggren_triples,
     brute_force_triples,
     classify,
     verify_chain,
@@ -83,6 +84,7 @@ __all__ = [
     "platonic_family",
     "diagonal_multiples",
     "classify",
+    "berggren_triples",
     "brute_force_triples",
     "verify_chain",
 ]

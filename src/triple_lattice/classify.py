@@ -5,9 +5,13 @@ P is the set of all Pythagorean triples, E those of the Euclid form
 hypotenuse (the lattice domain), and P0 the primitive triples.  Each
 inclusion is strict.
 
-brute_force_triples is the independent ground truth used by verify_chain
-and by the acceptance tests: a plain double loop over legs with an exact
-square lookup for the hypotenuse, no lattice machinery involved.
+P and P0 are rebuilt without the lattice or the Euclid formula.
+berggren_triples, verify_chain's route to them, walks the ternary tree of
+primitive triples of Berggren (1934) and Hall (1970) from (3, 4, 5) and
+adds every multiple up to the bound, in near-linear time.
+brute_force_triples, a plain double loop over legs with an exact square
+lookup for the hypotenuse, is kept as the trusted small-bound ground truth
+that the tests and the acceptance criteria compare against.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ __all__ = [
     "ClassReport",
     "ChainReport",
     "classify",
+    "berggren_triples",
     "brute_force_triples",
     "verify_chain",
 ]
 
-#: Largest hypotenuse bound the O(c_max^2) oracle will accept by default.
+#: Largest hypotenuse bound the oracles accept by default.  Both build
+#: their whole set in memory, which grows with the bound.
 DEFAULT_ORACLE_CEILING = 10_000
 
 
@@ -93,6 +99,15 @@ def classify(x: int, y: int, z: int) -> ClassReport:
     )
 
 
+def _check_oracle_bound(c_max: int, oracle_ceiling: int) -> None:
+    if not isinstance(c_max, int) or c_max < 1:
+        raise ValueError(f"c_max must be a positive integer, got {c_max!r}")
+    if c_max > oracle_ceiling:
+        raise BoundTooLarge(
+            f"c_max = {c_max} exceeds the oracle ceiling {oracle_ceiling}"
+        )
+
+
 def brute_force_triples(
     c_max: int, oracle_ceiling: int = DEFAULT_ORACLE_CEILING
 ) -> set[Triple]:
@@ -102,12 +117,7 @@ def brute_force_triples(
     parities differ, legs ascending otherwise.  Raises BoundTooLarge when
     c_max exceeds oracle_ceiling.
     """
-    if not isinstance(c_max, int) or c_max < 1:
-        raise ValueError(f"c_max must be a positive integer, got {c_max!r}")
-    if c_max > oracle_ceiling:
-        raise BoundTooLarge(
-            f"c_max = {c_max} exceeds the oracle ceiling {oracle_ceiling}"
-        )
+    _check_oracle_bound(c_max, oracle_ceiling)
     squares = {c * c: c for c in range(1, c_max + 1)}
     limit = c_max * c_max
     found: set[Triple] = set()
@@ -122,6 +132,48 @@ def brute_force_triples(
             c = squares.get(s)
             if c is not None:
                 found.add(canonicalize(Triple(x, y, c)))
+    return found
+
+
+def _berggren_primitives(c_max: int):
+    """Yield each primitive triple with c <= c_max once, as (a, b, c) ints.
+
+    Depth first over the Berggren tree on an explicit stack.  Each of the
+    three matrices maps a primitive triple to one with a larger c, so a
+    branch is cut at its first node past c_max.
+    """
+    stack = [(3, 4, 5)]
+    while stack:
+        a, b, c = stack.pop()
+        if c > c_max:
+            continue
+        yield a, b, c
+        stack.append((a - 2 * b + 2 * c, 2 * a - b + 2 * c, 2 * a - 2 * b + 3 * c))
+        stack.append((a + 2 * b + 2 * c, 2 * a + b + 2 * c, 2 * a + 2 * b + 3 * c))
+        stack.append((2 * b - a + 2 * c, b - 2 * a + 2 * c, 2 * b - 2 * a + 3 * c))
+
+
+def berggren_triples(
+    c_max: int, oracle_ceiling: int = DEFAULT_ORACLE_CEILING
+) -> set[Triple]:
+    """Every Pythagorean triple with c <= c_max: k times each tree primitive.
+
+    Returns the same set as brute_force_triples, in the same canonical
+    orientation (odd leg first for odd k, legs ascending for even k), and
+    raises the same errors for the same bounds.  The orientation is set
+    directly rather than by canonicalize, which builds a second Triple for
+    half of the multiples and made verify slower and its peak RSS larger.
+    """
+    _check_oracle_bound(c_max, oracle_ceiling)
+    found: set[Triple] = set()
+    for a, b, c in _berggren_primitives(c_max):
+        odd, even = (a, b) if a % 2 else (b, a)
+        lo, hi = min(a, b), max(a, b)
+        for k in range(1, c_max // c + 1):
+            if k % 2:
+                found.add(Triple(k * odd, k * even, k * c))
+            else:
+                found.add(Triple(k * lo, k * hi, k * c))
     return found
 
 
@@ -159,14 +211,16 @@ def verify_chain(
 ) -> ChainReport:
     """Rebuild the four sets up to c_max by independent routes and compare.
 
-    P and P0 come from the brute-force oracle, E from the extended
-    enumeration, C from the lattice enumeration.  Any inclusion failure or
-    cross-route disagreement lands in the discrepancy list rather than
-    raising; only bound errors raise.
+    P comes from the Berggren-tree oracle and P0 is its primitive part; E
+    comes from the extended enumeration and C from the lattice enumeration.
+    brute_force_triples builds the same P by an O(c_max^2) search and is
+    what the tests check the tree against at small bounds.  Any inclusion
+    failure or cross-route disagreement lands in the discrepancy list
+    rather than raising; only bound errors raise.
     """
     if not isinstance(c_max, int) or c_max < MIN_HYPOTENUSE:
         raise ValueError(f"c_max must be an integer >= {MIN_HYPOTENUSE}, got {c_max!r}")
-    p_set = brute_force_triples(c_max, oracle_ceiling)
+    p_set = berggren_triples(c_max, oracle_ceiling)
     p0_set = {t for t in p_set if gcd(gcd(t.a, t.b), t.c) == 1}
     e_formula = list(extended_enumerate(c_max))
     e_set = {canonicalize(t) for t in e_formula}
@@ -182,7 +236,7 @@ def verify_chain(
                 f"{len(extras)} {kind}, e.g. ({sample.a}, {sample.b}, {sample.c})"
             )
 
-    leak("Euclid triples missing from the brute-force set", e_set - p_set)
+    leak("Euclid triples missing from the oracle set", e_set - p_set)
     leak("lattice triples missing from the Euclid set", c_set - e_set)
     leak("primitive triples missing from the lattice set", p0_set - c_set)
     # The lattice set must be exactly the Euclid set minus its all-even

@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import count, starmap
+from itertools import chain, count, islice, starmap
 from math import gcd
 
 from .classify import DEFAULT_ORACLE_CEILING, ChainReport, classify, verify_chain
@@ -43,6 +43,7 @@ EXIT_NOT_IN_C = 4
 EXIT_DISCREPANCY = 5
 
 LATTICE_FIELDS = ("m", "n", "a", "b", "c", "primitive")
+TABLE_SIZING_ROWS = 1000
 
 
 def _positive_int(text: str) -> int:
@@ -64,7 +65,9 @@ def _cell(value) -> str:
 
 
 def _emit(records, fields, fmt) -> None:
-    # records may be a lazy stream; only the table format buffers it.
+    # records may be a lazy stream.  The table format sizes its columns from
+    # the first TABLE_SIZING_ROWS rows only, so memory never follows the
+    # stream's length; a later, longer cell widens its column from there on.
     if fmt == "json-lines":
         for rec in records:
             print(json.dumps(rec, separators=(",", ":")))
@@ -73,13 +76,15 @@ def _emit(records, fields, fmt) -> None:
         for rec in records:
             print(",".join(_cell(rec[f]) for f in fields))
     else:
-        rows = [[_cell(rec[f]) for f in fields] for rec in records]
+        rows = ([_cell(rec[f]) for f in fields] for rec in records)
+        head = list(islice(rows, TABLE_SIZING_ROWS))
         widths = [
-            max(len(name), *(len(row[i]) for row in rows)) if rows else len(name)
+            max(len(name), *(len(row[i]) for row in head)) if head else len(name)
             for i, name in enumerate(fields)
         ]
         print("  ".join(name.ljust(w) for name, w in zip(fields, widths)).rstrip())
-        for row in rows:
+        for row in chain(head, rows):
+            widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 

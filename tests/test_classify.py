@@ -1,5 +1,6 @@
-"""Unit tests for classification, the brute-force oracle and verify_chain."""
+"""Unit tests for classification, the two oracles and verify_chain."""
 
+import importlib
 from math import gcd
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from triple_lattice.classify import (
     BoundTooLarge,
+    _berggren_primitives,
+    berggren_triples,
     brute_force_triples,
     classify,
     verify_chain,
@@ -143,7 +146,42 @@ def test_oracle_agreement_with_classify():
             assert (t.a + t.b) % 2 == 1 and t.c % 2 == 1
 
 
+def test_berggren_equals_brute_force():
+    for c_max in [*range(1, 301), 5000]:
+        assert berggren_triples(c_max) == brute_force_triples(c_max), c_max
+
+
+@pytest.mark.parametrize("c_max", [5, 50, 500, 2500])
+def test_berggren_primitives_are_distinct_and_count_p0(c_max):
+    nodes = list(_berggren_primitives(c_max))
+    assert len(set(nodes)) == len(nodes) == verify_chain(c_max).count_P0
+    assert all(gcd(gcd(a, b), c) == 1 and a * a + b * b == c * c for a, b, c in nodes)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0,), (-1,), (5.0,), ("50",), (None,), (True,), (1,), (10_001,),
+     (60, 50), (50, 50), (51, 50), (5, 4)],
+)
+def test_berggren_bound_checks_match_brute_force(args):
+    def outcome(oracle):
+        try:
+            return oracle(*args)
+        except ValueError as exc:
+            return type(exc)
+
+    assert outcome(berggren_triples) == outcome(brute_force_triples)
+
+
 # ---------------------------------------------------------------- verify_chain
+
+
+@pytest.mark.parametrize("c_max", [5, 50, 500, 2500])
+def test_verify_chain_same_report_with_brute_force_route(c_max, monkeypatch):
+    tree_report = verify_chain(c_max)
+    module = importlib.import_module("triple_lattice.classify")
+    monkeypatch.setattr(module, "berggren_triples", brute_force_triples)
+    assert verify_chain(c_max) == tree_report
 
 
 def test_verify_chain_witnesses_at_50():

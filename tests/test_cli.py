@@ -1,9 +1,14 @@
 """CLI contract tests: records, formats, exit codes, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from triple_lattice import cli
 from triple_lattice.cli import FORMAT_ENV, main
 
 
@@ -338,8 +343,60 @@ def test_enum_csv_has_header_naming_fields(run):
     assert out.splitlines()[0] == "m,n,a,b,c,primitive"
 
 
+def test_table_widens_a_column_only_past_its_sizing_rows(capsys, monkeypatch):
+    records = [{"x": 1, "y": 2}, {"x": 333, "y": 4}, {"x": 5, "y": 6}]
+    cli._emit(records, ("x", "y"), "table")
+    assert capsys.readouterr().out == "x    y\n1    2\n333  4\n5    6\n"
+    monkeypatch.setattr(cli, "TABLE_SIZING_ROWS", 1)
+    cli._emit(records, ("x", "y"), "table")
+    assert capsys.readouterr().out == "x  y\n1  2\n333  4\n5    6\n"
+
+
 def test_every_json_line_parses(run):
     _, out, _ = run("enum", "--c-max", "300")
     for line in out.splitlines():
         rec = json.loads(line)
         assert set(rec) == {"m", "n", "a", "b", "c", "primitive"}
+
+
+# ------------------------------------------------------------- arbitrary argv
+
+# Bounds that run stay small; a value of 2**64 or more only goes where it is
+# rejected before any work (a bound past the 64-bit width, or past the
+# oracle ceiling, which is never drawn large).  Junk holds no decimal digit
+# of any script: int() reads those, so junk could otherwise be a big bound.
+JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+SMALL = st.one_of(st.sampled_from(["-1", "0"]), st.integers(1, 300).map(str), JUNK)
+ANY = st.one_of(SMALL, st.integers(1, 300).map(str), st.integers(2**64, 2**70).map(str))
+FORMAT = st.sampled_from(
+    [[], ["--format", "csv"], ["--format", "table"], ["--format", "xml"]]
+)
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts, FORMAT).map(
+        lambda drawn: [command, *drawn[:-1], *drawn[-1]]
+    )
+
+
+ARGV = st.one_of(
+    _argv("gen", ANY, ANY),
+    _argv("inv", ANY, ANY, ANY),
+    _argv("classify", ANY, ANY, ANY),
+    _argv("enum", st.just("--c-max"), ANY, st.sampled_from(["--mode=lattice", "--mode=extended"]) | JUNK),
+    _argv("series", st.sampled_from(["odd", "even"]) | JUNK, ANY, st.just("--c-max"), ANY),
+    _argv("verify", st.just("--c-max"), ANY, st.just("--oracle-ceiling"), SMALL),
+    _argv("verify", st.just("--c-max"), ANY),
+    _argv("family", st.sampled_from(["pythagorean", "platonic"]) | JUNK, st.just("--count"), SMALL),
+    st.lists(JUNK, max_size=4),
+)
+
+
+@settings(deadline=None)
+@given(argv=ARGV)
+def test_arbitrary_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in err.getvalue()

@@ -28,11 +28,7 @@ LIMIT_BYTES = 512 * 2**20
 TIMEOUT_S = 60
 
 
-def _limit() -> None:
-    resource.setrlimit(resource.RLIMIT_AS, (LIMIT_BYTES, LIMIT_BYTES))
-
-
-def _child(*args: str) -> subprocess.Popen:
+def _child(*args: str, limit: int = LIMIT_BYTES) -> subprocess.Popen:
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.Popen(
@@ -41,7 +37,7 @@ def _child(*args: str) -> subprocess.Popen:
         stderr=subprocess.PIPE,
         text=True,
         env=env,
-        preexec_fn=_limit,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
 
 
@@ -125,5 +121,19 @@ def test_closed_pipe_is_a_clean_exit():
     proc.stdout.close()
     _, err = proc.communicate(timeout=TIMEOUT_S)
     assert json.loads(first) == {"m": 1, "n": 1, "a": 3, "b": 4, "c": 5, "primitive": True}
+    assert proc.returncode == 0
+    assert "Traceback" not in err
+
+
+def test_table_format_streams_instead_of_buffering():
+    proc = _child(
+        "-m", "triple_lattice.cli", "enum", "--c-max", str(10**12), "--format", "table",
+        limit=400 * 2**20,
+    )
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=TIMEOUT_S)
+    assert head[0].split() == ["m", "n", "a", "b", "c", "primitive"]
+    assert head[1].split() == ["1", "1", "3", "4", "5", "true"]
     assert proc.returncode == 0
     assert "Traceback" not in err
