@@ -99,9 +99,9 @@ def classify(x: int, y: int, z: int) -> ClassReport:
     )
 
 
-def _check_oracle_bound(c_max: int, oracle_ceiling: int) -> None:
-    if not isinstance(c_max, int) or c_max < 1:
-        raise ValueError(f"c_max must be a positive integer, got {c_max!r}")
+def _check_oracle_bound(c_max: int, oracle_ceiling: int, minimum: int = 1) -> None:
+    if not isinstance(c_max, int) or c_max < minimum:
+        raise ValueError(f"c_max must be an integer >= {minimum}, got {c_max!r}")
     if c_max > oracle_ceiling:
         raise BoundTooLarge(
             f"c_max = {c_max} exceeds the oracle ceiling {oracle_ceiling}"
@@ -218,14 +218,20 @@ def verify_chain(
     failure or cross-route disagreement lands in the discrepancy list
     rather than raising; only bound errors raise.
     """
-    if not isinstance(c_max, int) or c_max < MIN_HYPOTENUSE:
-        raise ValueError(f"c_max must be an integer >= {MIN_HYPOTENUSE}, got {c_max!r}")
+    _check_oracle_bound(c_max, oracle_ceiling, MIN_HYPOTENUSE)
     p_set = berggren_triples(c_max, oracle_ceiling)
     p0_set = {t for t in p_set if gcd(gcd(t.a, t.b), t.c) == 1}
-    e_formula = list(extended_enumerate(c_max))
-    e_set = {canonicalize(t) for t in e_formula}
     c_pairs = list(lattice_enumerate_indexed(c_max))
     c_set = {t for _, t in c_pairs}
+    # One pass over the Euclid stream.  It runs by c ascending, then a, so
+    # its first triple outside C is the (c, a)-smallest one.
+    e_set: set[Triple] = set()
+    witness_e_not_c = None
+    for t in extended_enumerate(c_max):
+        canon = canonicalize(t)
+        e_set.add(canon)
+        if witness_e_not_c is None and canon not in c_set:
+            witness_e_not_c = t
 
     discrepancies: list[str] = []
 
@@ -259,9 +265,7 @@ def verify_chain(
         count_C=len(c_set),
         count_P0=len(p0_set),
         witness_P_not_E=_smallest(p_set - e_set),
-        witness_E_not_C=_smallest(
-            [t for t in e_formula if canonicalize(t) not in c_set]
-        ),
+        witness_E_not_C=witness_e_not_c,
         witness_C_not_P0=_smallest(c_set - p0_set),
         discrepancies=tuple(discrepancies),
     )

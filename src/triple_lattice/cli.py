@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Subcommands: gen, inv, enum, series, classify, verify, family.  Records go
-to stdout as json-lines (default), csv or table; json-lines and csv are
-byte-stable, table is for humans.  Exit codes: 0 success (also when the
-reader closes stdout early, EPIPE), 2 argument error, 3 overflow (a result
-or --c-max above 2^64 - 1), 4 not in the lattice class, 5 verification
-discrepancy.
+Subcommands: gen, inv, enum, series, classify, verify, family.  Every
+command names its fields once and hands rows of values to _emit, the one
+writer of stdout, as json-lines (default), csv or table; json-lines and csv
+are byte-stable, table is for humans.  verify writes one json-lines record
+(c_max, counts, witnesses, discrepancies), or in csv and table one row per
+set (set, count, witness_a, witness_b, witness_c) and a last row counting
+the discrepancies, each of which also goes to stderr as
+"discrepancy: <text>".  Exit codes: 0 success (also when the reader closes
+stdout early, EPIPE), 2 argument error, 3 overflow (a result or --c-max
+above 2^64 - 1), 4 not in the lattice class, 5 verification discrepancy.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import sys
 from itertools import chain, count, islice, starmap
 from math import gcd
 
-from .classify import DEFAULT_ORACLE_CEILING, ChainReport, classify, verify_chain
+from .classify import DEFAULT_ORACLE_CEILING, classify, verify_chain
 from .core import (
     LatticeIndex,
     NotInClassC,
@@ -64,26 +68,28 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(records, fields, fmt) -> None:
-    # records may be a lazy stream.  The table format sizes its columns from
-    # the first TABLE_SIZING_ROWS rows only, so memory never follows the
-    # stream's length; a later, longer cell widens its column from there on.
+def _emit(rows, fields, fmt) -> None:
+    # The one writer of stdout.  Each row is a tuple of values in fields
+    # order, and rows may be a lazy stream.  The table format sizes its
+    # columns from the first TABLE_SIZING_ROWS rows only, so memory never
+    # follows the stream's length; a later, longer cell widens its column
+    # from there on.
     if fmt == "json-lines":
-        for rec in records:
-            print(json.dumps(rec, separators=(",", ":")))
+        for row in rows:
+            print(json.dumps(dict(zip(fields, row)), separators=(",", ":")))
     elif fmt == "csv":
         print(",".join(fields))
-        for rec in records:
-            print(",".join(_cell(rec[f]) for f in fields))
+        for row in rows:
+            print(",".join(map(_cell, row)))
     else:
-        rows = ([_cell(rec[f]) for f in fields] for rec in records)
-        head = list(islice(rows, TABLE_SIZING_ROWS))
+        cells = (list(map(_cell, row)) for row in rows)
+        head = list(islice(cells, TABLE_SIZING_ROWS))
         widths = [
             max(len(name), *(len(row[i]) for row in head)) if head else len(name)
             for i, name in enumerate(fields)
         ]
         print("  ".join(name.ljust(w) for name, w in zip(fields, widths)).rstrip())
-        for row in chain(head, rows):
+        for row in chain(head, cells):
             widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
@@ -95,28 +101,15 @@ def _resolve_format(args: argparse.Namespace) -> str:
     return fmt
 
 
-def _lattice_record(idx: LatticeIndex, t: Triple, with_sides: bool = False) -> dict:
-    rec = {
-        "m": idx.m,
-        "n": idx.n,
-        "a": t.a,
-        "b": t.b,
-        "c": t.c,
-        "primitive": is_primitive_lattice(idx),
-    }
-    if with_sides:
-        rec["d"] = t.c - t.b
-        rec["e"] = t.c - t.a
-    return rec
+def _lattice_row(idx: LatticeIndex, t: Triple) -> tuple:
+    return idx.m, idx.n, t.a, t.b, t.c, is_primitive_lattice(idx)
 
 
 def cmd_gen(args: argparse.Namespace, fmt: str) -> int:
     idx = LatticeIndex(args.m, args.n)
-    _emit(
-        [_lattice_record(idx, triple_from_lattice(idx), with_sides=True)],
-        LATTICE_FIELDS + ("d", "e"),
-        fmt,
-    )
+    t = triple_from_lattice(idx)
+    row = (*_lattice_row(idx, t), t.c - t.b, t.c - t.a)
+    _emit([row], LATTICE_FIELDS + ("d", "e"), fmt)
     return EXIT_OK
 
 
@@ -126,28 +119,21 @@ def cmd_inv(args: argparse.Namespace, fmt: str) -> int:
     except ValueError as exc:
         raise NotInClassC(str(exc)) from None
     idx = lattice_from_triple(t)
-    _emit([{"m": idx.m, "n": idx.n}], ("m", "n"), fmt)
+    _emit([(idx.m, idx.n)], ("m", "n"), fmt)
     return EXIT_OK
 
 
 def cmd_enum(args: argparse.Namespace, fmt: str) -> int:
     if args.mode == "lattice":
-        records = starmap(_lattice_record, lattice_enumerate_indexed(args.c_max))
+        rows = starmap(_lattice_row, lattice_enumerate_indexed(args.c_max))
         fields = LATTICE_FIELDS
     else:
-        records = (
-            {
-                "mu": idx.mu,
-                "n": idx.n,
-                "a": t.a,
-                "b": t.b,
-                "c": t.c,
-                "primitive": gcd(gcd(t.a, t.b), t.c) == 1,
-            }
+        rows = (
+            (idx.mu, idx.n, t.a, t.b, t.c, gcd(gcd(t.a, t.b), t.c) == 1)
             for idx, t in extended_enumerate_indexed(args.c_max)
         )
         fields = ("mu", "n", "a", "b", "c", "primitive")
-    _emit(records, fields, fmt)
+    _emit(rows, fields, fmt)
     return EXIT_OK
 
 
@@ -159,7 +145,7 @@ def cmd_series(args: argparse.Namespace, fmt: str) -> int:
         points = (LatticeIndex(m, args.index) for m in count(1))
         triples = even_series(args.index, args.c_max)
     # map stops with the shorter stream: triples, which is bounded.
-    _emit(map(_lattice_record, points, triples), LATTICE_FIELDS, fmt)
+    _emit(map(_lattice_row, points, triples), LATTICE_FIELDS, fmt)
     return EXIT_OK
 
 
@@ -169,90 +155,63 @@ def cmd_family(args: argparse.Namespace, fmt: str) -> int:
         points = (LatticeIndex(1, k) for k in ks)
     else:
         points = (LatticeIndex(k, 1) for k in ks)
-    records = (_lattice_record(idx, triple_from_lattice(idx)) for idx in points)
-    _emit(records, LATTICE_FIELDS, fmt)
+    rows = (_lattice_row(idx, triple_from_lattice(idx)) for idx in points)
+    _emit(rows, LATTICE_FIELDS, fmt)
     return EXIT_OK
 
 
 def cmd_classify(args: argparse.Namespace, fmt: str) -> int:
     report = classify(args.a, args.b, args.c)
-    if report.triple is not None:
-        a, b, c = report.triple.a, report.triple.b, report.triple.c
-    else:
-        a, b, c = sorted((args.a, args.b, args.c))
-    rec = {
-        "a": a,
-        "b": b,
-        "c": c,
-        "in_P": report.in_P,
-        "in_E": report.in_E,
-        "in_C": report.in_C,
-        "in_P0": report.in_P0,
-        "m": report.lattice.m if report.lattice else None,
-        "n": report.lattice.n if report.lattice else None,
-        "u": report.euclid.u if report.euclid else None,
-        "v": report.euclid.v if report.euclid else None,
-        "scale": report.scale,
-    }
+    t, lattice, euclid = report.triple, report.lattice, report.euclid
+    row = (
+        *((t.a, t.b, t.c) if t else sorted((args.a, args.b, args.c))),
+        report.in_P,
+        report.in_E,
+        report.in_C,
+        report.in_P0,
+        *((lattice.m, lattice.n) if lattice else (None, None)),
+        *((euclid.u, euclid.v) if euclid else (None, None)),
+        report.scale,
+    )
     _emit(
-        [rec],
+        [row],
         ("a", "b", "c", "in_P", "in_E", "in_C", "in_P0", "m", "n", "u", "v", "scale"),
         fmt,
     )
     return EXIT_OK
 
 
-def _triple_list(t: Triple | None) -> list[int] | None:
-    return [t.a, t.b, t.c] if t is not None else None
-
-
-def _render_verify(report: ChainReport, fmt: str) -> None:
-    if fmt == "json-lines":
-        rec = {
-            "c_max": report.c_max,
-            "counts": {
-                "P": report.count_P,
-                "E": report.count_E,
-                "C": report.count_C,
-                "P0": report.count_P0,
-            },
-            "witnesses": {
-                "P_not_E": _triple_list(report.witness_P_not_E),
-                "E_not_C": _triple_list(report.witness_E_not_C),
-                "C_not_P0": _triple_list(report.witness_C_not_P0),
-            },
-            "discrepancies": list(report.discrepancies),
-        }
-        print(json.dumps(rec, separators=(",", ":")))
-        return
-    rows = [
-        ("P", report.count_P, report.witness_P_not_E),
-        ("E", report.count_E, report.witness_E_not_C),
-        ("C", report.count_C, report.witness_C_not_P0),
-        ("P0", report.count_P0, None),
-    ]
-    if fmt == "csv":
-        print("set,count,witness_a,witness_b,witness_c")
-        for name, count, witness in rows:
-            w = (witness.a, witness.b, witness.c) if witness else ("", "", "")
-            print(f"{name},{count},{w[0]},{w[1]},{w[2]}")
-        print(f"discrepancies,{len(report.discrepancies)},,,")
-        return
-    gap = {"P": "not in E", "E": "not in C", "C": "not in P0"}
-    print(f"chain verification up to c = {report.c_max}")
-    for name, count, witness in rows:
-        line = f"  {name:<3} {count:>6}"
-        if witness is not None:
-            line += f"  witness ({witness.a}, {witness.b}, {witness.c}) {gap[name]}"
-        print(line)
-    print(f"  discrepancies: {len(report.discrepancies)}")
-    for item in report.discrepancies:
-        print(f"    {item}")
-
-
 def cmd_verify(args: argparse.Namespace, fmt: str) -> int:
     report = verify_chain(args.c_max, args.oracle_ceiling)
-    _render_verify(report, fmt)
+    counts = {
+        "P": report.count_P,
+        "E": report.count_E,
+        "C": report.count_C,
+        "P0": report.count_P0,
+    }
+    witnesses = {
+        gap: (w.a, w.b, w.c) if w else None
+        for gap, w in (
+            ("P_not_E", report.witness_P_not_E),
+            ("E_not_C", report.witness_E_not_C),
+            ("C_not_P0", report.witness_C_not_P0),
+        )
+    }
+    if fmt == "json-lines":
+        rows = [(report.c_max, counts, witnesses, report.discrepancies)]
+        fields = ("c_max", "counts", "witnesses", "discrepancies")
+    else:
+        # A set's row carries the witness that lies in it but not in the
+        # next set down the chain; P0, the last, has none.
+        rows = [
+            (name, n, *(w or (None, None, None)))
+            for (name, n), w in zip(counts.items(), [*witnesses.values(), None])
+        ]
+        rows.append(("discrepancies", len(report.discrepancies), None, None, None))
+        fields = ("set", "count", "witness_a", "witness_b", "witness_c")
+    _emit(rows, fields, fmt)
+    for item in report.discrepancies:
+        print(f"discrepancy: {item}", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_DISCREPANCY
 
 

@@ -3,12 +3,29 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import count
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triple_lattice import cli
+from triple_lattice import (
+    ChainReport,
+    LatticeIndex,
+    Triple,
+    cli,
+    even_series,
+    extended_enumerate_indexed,
+    is_primitive_lattice,
+    lattice_enumerate_indexed,
+    lattice_from_triple,
+    odd_series,
+    platonic_family,
+    pythagorean_family,
+    triple_from_lattice,
+    verify_chain,
+)
 from triple_lattice.cli import FORMAT_ENV, main
 
 
@@ -258,7 +275,26 @@ def test_verify_csv_layout(run):
 def test_verify_table_smoke(run):
     code, out, _ = run("verify", "--c-max", "50", "--format", "table")
     assert code == 0
-    assert "witness (27, 36, 45)" in out
+    assert ["C", "8", "27", "36", "45"] in [row.split() for row in out.splitlines()]
+
+
+def test_verify_discrepancies_exit_5_and_go_to_stderr(run, monkeypatch):
+    texts = ("3 lattice triples missing from the Euclid set, e.g. (3, 4, 5)",
+             "primitivity mismatch at (m=1, n=1): (3, 4, 5)")
+    report = ChainReport(
+        c_max=50, count_P=20, count_E=14, count_C=8, count_P0=7,
+        witness_P_not_E=None, witness_E_not_C=None, witness_C_not_P0=None,
+        discrepancies=texts,
+    )
+    monkeypatch.setattr(cli, "verify_chain", lambda c_max, ceiling: report)
+    for fmt in ("json-lines", "csv", "table"):
+        code, out, err = run("verify", "--c-max", "50", "--format", fmt)
+        assert code == 5
+        assert err.splitlines() == [f"discrepancy: {text}" for text in texts]
+        if fmt == "json-lines":
+            assert lines(out)[0]["discrepancies"] == list(texts)
+        elif fmt == "csv":
+            assert out.splitlines()[-1] == "discrepancies,2,,,"
 
 
 def test_verify_bound_too_small(run):
@@ -344,7 +380,7 @@ def test_enum_csv_has_header_naming_fields(run):
 
 
 def test_table_widens_a_column_only_past_its_sizing_rows(capsys, monkeypatch):
-    records = [{"x": 1, "y": 2}, {"x": 333, "y": 4}, {"x": 5, "y": 6}]
+    records = [(1, 2), (333, 4), (5, 6)]
     cli._emit(records, ("x", "y"), "table")
     assert capsys.readouterr().out == "x    y\n1    2\n333  4\n5    6\n"
     monkeypatch.setattr(cli, "TABLE_SIZING_ROWS", 1)
@@ -357,6 +393,78 @@ def test_every_json_line_parses(run):
     for line in out.splitlines():
         rec = json.loads(line)
         assert set(rec) == {"m", "n", "a", "b", "c", "primitive"}
+
+
+# ------------------------------------------------------- cli against library
+
+
+def lattice_record(idx, t):
+    return {"m": idx.m, "n": idx.n, "a": t.a, "b": t.b, "c": t.c,
+            "primitive": is_primitive_lattice(idx)}
+
+
+def test_enum_lattice_matches_library(run):
+    _, out, _ = run("enum", "--c-max", "3000")
+    assert lines(out) == [lattice_record(idx, t) for idx, t in lattice_enumerate_indexed(3000)]
+
+
+def test_enum_extended_matches_library(run):
+    _, out, _ = run("enum", "--c-max", "3000", "--mode", "extended")
+    assert lines(out) == [
+        {"mu": idx.mu, "n": idx.n, "a": t.a, "b": t.b, "c": t.c,
+         "primitive": gcd(gcd(t.a, t.b), t.c) == 1}
+        for idx, t in extended_enumerate_indexed(3000)
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("series", "odd", "3", "--c-max", "5000"),
+         lambda: zip((LatticeIndex(3, n) for n in count(1)), odd_series(3, 5000))),
+        (("series", "even", "2", "--c-max", "5000"),
+         lambda: zip((LatticeIndex(m, 2) for m in count(1)), even_series(2, 5000))),
+        (("family", "pythagorean", "--count", "40"),
+         lambda: ((LatticeIndex(1, k), pythagorean_family(k)) for k in range(1, 41))),
+        (("family", "platonic", "--count", "40"),
+         lambda: ((LatticeIndex(k, 1), platonic_family(k)) for k in range(1, 41))),
+    ],
+)
+def test_series_and_family_match_library(run, argv, expected):
+    _, out, _ = run(*argv)
+    records = lines(out)
+    assert records and records == [lattice_record(idx, t) for idx, t in expected()]
+
+
+def test_gen_and_inv_match_library_on_a_grid(run):
+    for m in range(1, 13):
+        for n in range(1, 13):
+            t = triple_from_lattice(LatticeIndex(m, n))
+            _, out, _ = run("gen", str(m), str(n))
+            assert lines(out) == [
+                {**lattice_record(LatticeIndex(m, n), t), "d": t.c - t.b, "e": t.c - t.a}
+            ]
+            _, out, _ = run("inv", str(t.a), str(t.b), str(t.c))
+            idx = lattice_from_triple(Triple(t.a, t.b, t.c))
+            assert lines(out) == [{"m": idx.m, "n": idx.n}] == [{"m": m, "n": n}]
+
+
+def test_verify_matches_library(run):
+    _, out, _ = run("verify", "--c-max", "2500")
+    report = verify_chain(2500)
+
+    def listed(t):
+        return [t.a, t.b, t.c] if t else None
+
+    assert lines(out) == [{
+        "c_max": report.c_max,
+        "counts": {"P": report.count_P, "E": report.count_E,
+                   "C": report.count_C, "P0": report.count_P0},
+        "witnesses": {"P_not_E": listed(report.witness_P_not_E),
+                      "E_not_C": listed(report.witness_E_not_C),
+                      "C_not_P0": listed(report.witness_C_not_P0)},
+        "discrepancies": list(report.discrepancies),
+    }]
 
 
 # ------------------------------------------------------------- arbitrary argv
