@@ -83,7 +83,7 @@ def classify(x: int, y: int, z: int) -> ClassReport:
     if lo * lo + mid * mid != hi * hi:
         return ClassReport(in_P=False, in_E=False, in_C=False, in_P0=False)
     t = canonicalize(Triple(lo, mid, hi))
-    scale = gcd(gcd(t.a, t.b), t.c)
+    scale = gcd(t.a, t.b, t.c)
     params = euclid_params_from_triple(t)
     in_e = params is not None
     in_c = in_e and (t.a + t.b) % 2 == 1 and t.c % 2 == 1
@@ -220,7 +220,7 @@ def verify_chain(
     """
     _check_oracle_bound(c_max, oracle_ceiling, MIN_HYPOTENUSE)
     p_set = berggren_triples(c_max, oracle_ceiling)
-    p0_set = {t for t in p_set if gcd(gcd(t.a, t.b), t.c) == 1}
+    p0_set = {t for t in p_set if gcd(t.a, t.b, t.c) == 1}
     c_pairs = list(lattice_enumerate_indexed(c_max))
     c_set = {t for _, t in c_pairs}
     # One pass over the Euclid stream.  It runs by c ascending, then a, so

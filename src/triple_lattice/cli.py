@@ -49,6 +49,9 @@ EXIT_DISCREPANCY = 5
 LATTICE_FIELDS = ("m", "n", "a", "b", "c", "primitive")
 TABLE_SIZING_ROWS = 1000
 
+# json.dumps(obj, separators=(",", ":")) without a new encoder per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def _positive_int(text: str) -> int:
     try:
@@ -63,8 +66,10 @@ def _positive_int(text: str) -> int:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     return str(value)
 
 
@@ -73,14 +78,16 @@ def _emit(rows, fields, fmt) -> None:
     # order, and rows may be a lazy stream.  The table format sizes its
     # columns from the first TABLE_SIZING_ROWS rows only, so memory never
     # follows the stream's length; a later, longer cell widens its column
-    # from there on.
+    # from there on.  A json-lines or csv record is one write of its line
+    # and newline, encoded for json-lines by the one shared _encode;
+    # sys.stdout is looked up at each write, so a swapped stream is honoured.
     if fmt == "json-lines":
         for row in rows:
-            print(json.dumps(dict(zip(fields, row)), separators=(",", ":")))
+            sys.stdout.write(_encode(dict(zip(fields, row))) + "\n")
     elif fmt == "csv":
-        print(",".join(fields))
+        sys.stdout.write(",".join(fields) + "\n")
         for row in rows:
-            print(",".join(map(_cell, row)))
+            sys.stdout.write(",".join(map(_cell, row)) + "\n")
     else:
         cells = (list(map(_cell, row)) for row in rows)
         head = list(islice(cells, TABLE_SIZING_ROWS))
@@ -129,7 +136,7 @@ def cmd_enum(args: argparse.Namespace, fmt: str) -> int:
         fields = LATTICE_FIELDS
     else:
         rows = (
-            (idx.mu, idx.n, t.a, t.b, t.c, gcd(gcd(t.a, t.b), t.c) == 1)
+            (idx.mu, idx.n, t.a, t.b, t.c, gcd(t.a, t.b, t.c) == 1)
             for idx, t in extended_enumerate_indexed(args.c_max)
         )
         fields = ("mu", "n", "a", "b", "c", "primitive")

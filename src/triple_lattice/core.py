@@ -79,6 +79,10 @@ class Triple:
     Construction of a non-Pythagorean triple raises ValueError; components
     above U64_MAX raise OverflowError.  c > a and c > b follow from the
     identity.  Instances are immutable and hashable.
+
+    Valid components pay one combined type-and-range test; only when it
+    fails do the per-field checks run, in order a, b, c and then the
+    width, so invalid input gets the error naming its first bad field.
     """
 
     a: int
@@ -86,14 +90,21 @@ class Triple:
     c: int
 
     def __post_init__(self) -> None:
-        _require_positive_int("a", self.a)
-        _require_positive_int("b", self.b)
-        _require_positive_int("c", self.c)
-        _check_width(self.a, self.b, self.c)
-        if self.a * self.a + self.b * self.b != self.c * self.c:
-            raise ValueError(
-                f"not a Pythagorean triple: {self.a}^2 + {self.b}^2 != {self.c}^2"
-            )
+        a, b, c = self.a, self.b, self.c
+        if not (
+            type(a) is int
+            and type(b) is int
+            and type(c) is int
+            and 0 < a <= U64_MAX
+            and 0 < b <= U64_MAX
+            and 0 < c <= U64_MAX
+        ):
+            _require_positive_int("a", a)
+            _require_positive_int("b", b)
+            _require_positive_int("c", c)
+            _check_width(a, b, c)
+        if a * a + b * b != c * c:
+            raise ValueError(f"not a Pythagorean triple: {a}^2 + {b}^2 != {c}^2")
 
 
 @dataclass(frozen=True)
@@ -104,8 +115,10 @@ class LatticeIndex:
     n: int
 
     def __post_init__(self) -> None:
-        _require_positive_int("m", self.m)
-        _require_positive_int("n", self.n)
+        m, n = self.m, self.n
+        if not (type(m) is int and m > 0 and type(n) is int and n > 0):
+            _require_positive_int("m", m)
+            _require_positive_int("n", n)
 
 
 @dataclass(frozen=True)
@@ -120,8 +133,10 @@ class ExtendedIndex:
     n: int
 
     def __post_init__(self) -> None:
-        _require_positive_int("mu", self.mu)
-        _require_positive_int("n", self.n)
+        mu, n = self.mu, self.n
+        if not (type(mu) is int and mu > 0 and type(n) is int and n > 0):
+            _require_positive_int("mu", mu)
+            _require_positive_int("n", n)
 
 
 @dataclass(frozen=True)

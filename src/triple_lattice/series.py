@@ -67,7 +67,10 @@ def _merge(form: _Form, c_max: int) -> Iterator[_Record]:
     The heap holds one record per admitted column; column i + 1 joins when
     column i's head (j = 1) is emitted.  c rises along each column and heads
     rise with i, so no unadmitted column holds an earlier record, and memory
-    follows the columns the frontier has reached, not c_max.
+    follows the columns the frontier has reached, not c_max.  The least
+    record is read at heap[0] and then replaced by its column successor, or
+    popped when that passes c_max: one heap sift per record.  Keys are
+    unique, so no tie can make the order depend on the heap's layout.
     """
     heap: list[_Record] = []
 
@@ -78,10 +81,14 @@ def _merge(form: _Form, c_max: int) -> Iterator[_Record]:
 
     push(1, 1)
     while heap:
-        record = heapq.heappop(heap)
+        record = heap[0]
         yield record
         _, _, _, i, j = record
-        push(i, j + 1)
+        a, b, c = form(i, j + 1)
+        if c <= c_max:
+            heapq.heapreplace(heap, (c, a, b, i, j + 1))
+        else:
+            heapq.heappop(heap)
         if j == 1:
             push(i + 1, 1)
 

@@ -1,5 +1,6 @@
 """CLI contract tests: records, formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -372,6 +373,26 @@ def test_json_and_csv_output_is_deterministic(run):
         second = run("enum", "--c-max", "500", "--format", fmt)
         assert first == second
         assert first[1]
+
+
+# sha256 of the stdout bytes, recorded when the record path was first pinned.
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("enum", "--c-max", "2000"),
+            "a853900d51a214116784b37ddef082d4f18bbf0a5641f5ed8ad4e0aba0d1822d",
+        ),
+        (
+            ("enum", "--c-max", "1000", "--mode", "extended", "--format", "csv"),
+            "4f354115442207c6a4599a75ecf7277f435dec18176a39d81b9c7bf3ee924dcf",
+        ),
+    ],
+)
+def test_enum_stdout_matches_pinned_digest(run, argv, digest):
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enum_csv_has_header_naming_fields(run):

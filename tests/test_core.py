@@ -61,6 +61,68 @@ def test_lattice_index_requires_positive(m, n):
         LatticeIndex(m, n)
 
 
+# The constructors' error contract: which exception, with which message, for
+# each kind of bad field, and that the first bad field in check order (each
+# field's type and sign, then Triple's 64-bit width) is the one named.
+_CONSTRUCTORS = [
+    (Triple, ("a", "b", "c"), (3, 4, 5)),
+    (LatticeIndex, ("m", "n"), (1, 1)),
+    (ExtendedIndex, ("mu", "n"), (1, 1)),
+]
+_BAD_FIELDS = [
+    (1.5, TypeError, "{} must be an int, got float"),
+    ("3", TypeError, "{} must be an int, got str"),
+    (None, TypeError, "{} must be an int, got NoneType"),
+    (0, ValueError, "{} must be >= 1, got 0"),
+    (-1, ValueError, "{} must be >= 1, got -1"),
+    (False, ValueError, "{} must be >= 1, got False"),
+]
+_WIDE = U64_MAX + 1
+_K = 2**62
+_CONTRACT_CASES = [
+    (cls, (*valid[:i], bad, *valid[i + 1 :]), exc, text.format(name))
+    for cls, names, valid in _CONSTRUCTORS
+    for i, name in enumerate(names)
+    for bad, exc, text in _BAD_FIELDS
+] + [
+    (Triple, (_WIDE, 4, "5"), TypeError, "c must be an int, got str"),
+    (Triple, (_WIDE, 0, 5), ValueError, "b must be >= 1, got 0"),
+    (Triple, (3, _WIDE, _WIDE + 1), OverflowError,
+     f"component {_WIDE} exceeds the checked 64-bit width"),
+    (Triple, (3, 4, 6), ValueError, "not a Pythagorean triple: 3^2 + 4^2 != 6^2"),
+    (Triple, (3 * _K, 4 * _K, 5 * _K), OverflowError,
+     f"component {4 * _K} exceeds the checked 64-bit width"),
+    (Triple, (True, 4, 5), ValueError, "not a Pythagorean triple: True^2 + 4^2 != 5^2"),
+    (LatticeIndex, (_WIDE, None), TypeError, "n must be an int, got NoneType"),
+    (LatticeIndex, (_WIDE, -1), ValueError, "n must be >= 1, got -1"),
+    (ExtendedIndex, (_WIDE, 0.5), TypeError, "n must be an int, got float"),
+    (ExtendedIndex, (_WIDE, 0), ValueError, "n must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("cls,args,exc,message", _CONTRACT_CASES)
+def test_constructor_error_contract(cls, args, exc, message):
+    with pytest.raises(exc) as info:
+        cls(*args)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "cls,args",
+    [
+        (Triple, (3 * 2**61, 4 * 2**61, 5 * 2**61)),
+        (LatticeIndex, (True, 1)),
+        (LatticeIndex, (_WIDE, _WIDE)),
+        (ExtendedIndex, (1, True)),
+        (ExtendedIndex, (_WIDE, 1)),
+    ],
+)
+def test_constructor_accepts_int_subclasses_and_wide_indices(cls, args):
+    # bool is an int, so True passes as 1; the width bound is Triple's alone.
+    assert tuple(vars(cls(*args)).values()) == args
+
+
 @pytest.mark.parametrize("u,v", [(2, 2), (1, 2), (3, 0)])
 def test_euclid_params_require_descending(u, v):
     with pytest.raises(ValueError):

@@ -170,6 +170,55 @@ def test_extended_enumerate_indexed_carries_mu():
     assert (2, 1) in seen and seen[(2, 1)] == Triple(8, 6, 10)
 
 
+# ------------------------------------------------------- the merge at its bounds
+
+# Column heads (j = 1) of both lattices for columns up to 30, and their
+# neighbours: the bounds at which a column is admitted or ends.
+_HEAD_BOUNDS = sorted(
+    {
+        head + delta
+        for i in range(1, 31)
+        for head in (4 * i * i + 1, i * i + 2 * i + 2)
+        for delta in (-1, 0, 1)
+    }
+)
+_GRID_SIDE = 64
+
+
+def _lattice_point(m, n):
+    a = 4 * m * m + 4 * n * m - 4 * m - 2 * n + 1
+    return m, n, a, 2 * n * n + 4 * n * m - 2 * n, a + 2 * n * n
+
+
+def _extended_point(mu, n):
+    a = mu * (2 * n + mu)
+    return mu, n, a, 2 * n * (n + mu), 2 * n * n + a
+
+
+def _sorted_grid(point):
+    # c rises along both axes, so a grid whose far edges pass every bound
+    # tested holds every record at those bounds.
+    edge = _GRID_SIDE - 1
+    assert min(point(edge, 1)[4], point(1, edge)[4]) > _HEAD_BOUNDS[-1]
+    grid = [point(i, j) for i in range(1, _GRID_SIDE) for j in range(1, _GRID_SIDE)]
+    return sorted(grid, key=lambda r: (r[4], r[2]))
+
+
+@pytest.mark.parametrize(
+    "enumerate_indexed,point",
+    [
+        (lattice_enumerate_indexed, _lattice_point),
+        (extended_enumerate_indexed, _extended_point),
+    ],
+)
+def test_merge_matches_sorted_grid_at_every_bound(enumerate_indexed, point):
+    grid = _sorted_grid(point)
+    for c_max in sorted({*range(1, 401), *_HEAD_BOUNDS}):
+        stream = enumerate_indexed(c_max)
+        got = [(*vars(idx).values(), t.a, t.b, t.c) for idx, t in stream]
+        assert got == [r for r in grid if r[4] <= c_max], c_max
+
+
 # -------------------------------------------------------------------- families
 
 
