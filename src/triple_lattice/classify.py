@@ -100,8 +100,7 @@ def classify(x: int, y: int, z: int) -> ClassReport:
 
 
 def _check_oracle_bound(c_max: int, oracle_ceiling: int, minimum: int = 1) -> None:
-    if not isinstance(c_max, int) or c_max < minimum:
-        raise ValueError(f"c_max must be an integer >= {minimum}, got {c_max!r}")
+    _require_positive_int("c_max", c_max, minimum)
     if c_max > oracle_ceiling:
         raise BoundTooLarge(
             f"c_max = {c_max} exceeds the oracle ceiling {oracle_ceiling}"

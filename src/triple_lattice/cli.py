@@ -18,7 +18,8 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain, count, islice, starmap
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice, starmap
 from math import gcd
 
 from .classify import DEFAULT_ORACLE_CEILING, classify, verify_chain
@@ -35,6 +36,8 @@ from .series import (
     extended_enumerate_indexed,
     lattice_enumerate_indexed,
     odd_series,
+    platonic_family,
+    pythagorean_family,
 )
 
 FORMAT_ENV = "TRIPLE_LATTICE_FORMAT"
@@ -144,26 +147,21 @@ def cmd_enum(args: argparse.Namespace, fmt: str) -> int:
     return EXIT_OK
 
 
+def _rows_by_inverse(triples: Iterable[Triple]) -> Iterator[tuple]:
+    # The library owns each walk; the exact inverse recovers each row's (m, n).
+    return (_lattice_row(lattice_from_triple(t), t) for t in triples)
+
+
 def cmd_series(args: argparse.Namespace, fmt: str) -> int:
-    if args.kind == "odd":
-        points = (LatticeIndex(args.index, n) for n in count(1))
-        triples = odd_series(args.index, args.c_max)
-    else:
-        points = (LatticeIndex(m, args.index) for m in count(1))
-        triples = even_series(args.index, args.c_max)
-    # map stops with the shorter stream: triples, which is bounded.
-    _emit(map(_lattice_row, points, triples), LATTICE_FIELDS, fmt)
+    series = odd_series if args.kind == "odd" else even_series
+    _emit(_rows_by_inverse(series(args.index, args.c_max)), LATTICE_FIELDS, fmt)
     return EXIT_OK
 
 
 def cmd_family(args: argparse.Namespace, fmt: str) -> int:
-    ks = range(1, args.count + 1)
-    if args.kind == "pythagorean":
-        points = (LatticeIndex(1, k) for k in ks)
-    else:
-        points = (LatticeIndex(k, 1) for k in ks)
-    rows = (_lattice_row(idx, triple_from_lattice(idx)) for idx in points)
-    _emit(rows, LATTICE_FIELDS, fmt)
+    member = pythagorean_family if args.kind == "pythagorean" else platonic_family
+    triples = map(member, range(1, args.count + 1))
+    _emit(_rows_by_inverse(triples), LATTICE_FIELDS, fmt)
     return EXIT_OK
 
 
@@ -299,7 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader stopped early (`... | head -1`): a clean exit.  Point
         # stdout at devnull so the interpreter's final flush stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_OK
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)

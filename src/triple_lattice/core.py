@@ -59,11 +59,11 @@ def is_perfect_square(x: int) -> bool:
     return r * r == x
 
 
-def _require_positive_int(name: str, value: int) -> None:
+def _require_positive_int(name: str, value: int, minimum: int = 1) -> None:
     if not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _check_width(*values: int) -> None:

@@ -167,10 +167,21 @@ def test_berggren_bound_checks_match_brute_force(args):
     def outcome(oracle):
         try:
             return oracle(*args)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             return type(exc)
 
     assert outcome(berggren_triples) == outcome(brute_force_triples)
+
+
+@pytest.mark.parametrize("oracle", [brute_force_triples, berggren_triples, verify_chain])
+@pytest.mark.parametrize(
+    "c_max,type_name", [(5.0, "float"), ("50", "str"), (None, "NoneType")]
+)
+def test_non_int_bound_is_a_type_error(oracle, c_max, type_name):
+    with pytest.raises(TypeError) as info:
+        oracle(c_max)
+    assert info.type is TypeError
+    assert str(info.value) == f"c_max must be an int, got {type_name}"
 
 
 # ---------------------------------------------------------------- verify_chain

@@ -387,6 +387,22 @@ def test_json_and_csv_output_is_deterministic(run):
             ("enum", "--c-max", "1000", "--mode", "extended", "--format", "csv"),
             "4f354115442207c6a4599a75ecf7277f435dec18176a39d81b9c7bf3ee924dcf",
         ),
+        (
+            ("series", "odd", "3", "--c-max", "5000", "--format", "csv"),
+            "aca1ad0767d3b3cd2ac0b089abb0c938dbb144906f34b05fe6ae4cde1c92993a",
+        ),
+        (
+            ("series", "even", "2", "--c-max", "5000"),
+            "47431509e701ae107b51a0b4f4ed48632f9cf98eddde73d2718b34de8ab5b2e1",
+        ),
+        (
+            ("family", "pythagorean", "--count", "40"),
+            "f789f284e3c25a82498a6e932e77e88009cd259473fd007069a0531ddeecc5aa",
+        ),
+        (
+            ("family", "platonic", "--count", "40", "--format", "csv"),
+            "20d3bb4fd6e26226672caa46cb192750d3516ae65cd54b3de98f04367c92a720",
+        ),
     ],
 )
 def test_enum_stdout_matches_pinned_digest(run, argv, digest):

@@ -1,11 +1,13 @@
 """Unit tests for the lattice maps, inverses and triple algebra."""
 
+import importlib
 from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import triple_lattice
 from triple_lattice.core import (
     U64_MAX,
     Decomposition,
@@ -28,6 +30,27 @@ from triple_lattice.core import (
 )
 
 idx = st.integers(min_value=1, max_value=400)
+
+
+# -------------------------------------------------------------- public surface
+
+
+def test_package_exports_exactly_the_submodule_names():
+    # triple_lattice.classify is the function, so fetch modules by path.
+    modules = [
+        importlib.import_module(f"triple_lattice.{name}")
+        for name in ("classify", "core", "series")
+    ]
+    names = triple_lattice.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == set().union(*(module.__all__ for module in modules))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(triple_lattice, name) is getattr(module, name), name
+    namespace: dict = {}
+    exec("from triple_lattice import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace.keys() == set(names)
 
 
 # ---------------------------------------------------------------- domain types

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import triple_lattice
+from triple_lattice.cli import main
 from triple_lattice.series import (
     extended_enumerate_indexed,
     lattice_enumerate_indexed,
@@ -123,6 +124,21 @@ def test_closed_pipe_is_a_clean_exit():
     assert json.loads(first) == {"m": 1, "n": 1, "a": 3, "b": 4, "c": 5, "primitive": True}
     assert proc.returncode == 0
     assert "Traceback" not in err
+
+
+def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    fd_dir = Path("/proc/self/fd")
+    if not fd_dir.is_dir():
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    before = len(os.listdir(fd_dir))
+    for _ in range(5):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["enum", "--c-max", "100000"]) == 0
+    monkeypatch.undo()
+    assert len(os.listdir(fd_dir)) == before
 
 
 def test_table_format_streams_instead_of_buffering():
