@@ -86,7 +86,7 @@ def classify(x: int, y: int, z: int) -> ClassReport:
     scale = gcd(t.a, t.b, t.c)
     params = euclid_params_from_triple(t)
     in_e = params is not None
-    in_c = in_e and (t.a + t.b) % 2 == 1 and t.c % 2 == 1
+    in_c = in_e and (t.a + t.b) % 2 == 1
     return ClassReport(
         in_P=True,
         in_E=in_e,
@@ -214,8 +214,8 @@ def verify_chain(
     comes from the extended enumeration and C from the lattice enumeration.
     brute_force_triples builds the same P by an O(c_max^2) search and is
     what the tests check the tree against at small bounds.  Any inclusion
-    failure or cross-route disagreement lands in the discrepancy list
-    rather than raising; only bound errors raise.
+    failure, repeated stream record or cross-route disagreement lands in
+    the discrepancy list rather than raising; only bound errors raise.
     """
     _check_oracle_bound(c_max, oracle_ceiling, MIN_HYPOTENUSE)
     p_set = berggren_triples(c_max, oracle_ceiling)
@@ -225,8 +225,9 @@ def verify_chain(
     # One pass over the Euclid stream.  It runs by c ascending, then a, so
     # its first triple outside C is the (c, a)-smallest one.
     e_set: set[Triple] = set()
+    e_count = 0
     witness_e_not_c = None
-    for t in extended_enumerate(c_max):
+    for e_count, t in enumerate(extended_enumerate(c_max), 1):
         canon = canonicalize(t)
         e_set.add(canon)
         if witness_e_not_c is None and canon not in c_set:
@@ -234,12 +235,18 @@ def verify_chain(
 
     discrepancies: list[str] = []
 
-    def leak(kind: str, extras: set[Triple]) -> None:
+    def leak(kind: str, extras, sample: Triple | None = None) -> None:
         if extras:
-            sample = _smallest(extras)
+            sample = sample or _smallest(extras)
             discrepancies.append(
                 f"{len(extras)} {kind}, e.g. ({sample.a}, {sample.b}, {sample.c})"
             )
+
+    def repeats(stream: str, count: int, distinct: int, records) -> None:
+        if count > distinct:  # walk the stream again for its first repeat
+            seen: set[Triple] = set()
+            rep = [t for t in records if (k := canonicalize(t)) in seen or seen.add(k)]
+            leak(f"duplicate records in the {stream} stream", rep, rep[0])
 
     leak("Euclid triples missing from the oracle set", e_set - p_set)
     leak("lattice triples missing from the Euclid set", c_set - e_set)
@@ -249,6 +256,8 @@ def verify_chain(
     not_all_even = {t for t in e_set if t.a % 2 or t.b % 2}
     leak("lattice triples outside Euclid-minus-all-even", c_set - not_all_even)
     leak("Euclid-minus-all-even triples missing from the lattice", not_all_even - c_set)
+    repeats("lattice", len(c_pairs), len(c_set), (t for _, t in c_pairs))
+    repeats("Euclid", e_count, len(e_set), extended_enumerate(c_max))
     for idx, t in c_pairs:
         if is_primitive_lattice(idx) != (t in p0_set):
             discrepancies.append(

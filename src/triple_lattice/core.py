@@ -44,7 +44,7 @@ U64_MAX = 2**64 - 1
 
 
 class NotInClassC(ValueError):
-    """The triple is not in the lattice class (a odd, b even, c odd, c - b square)."""
+    """The triple is not in the lattice class: a is even or c - b is not a square."""
 
 
 class InvalidDecomposition(ValueError):
@@ -216,28 +216,20 @@ def _lattice_abc(m: int, n: int) -> tuple[int, int, int]:
 def lattice_from_triple(t: Triple) -> LatticeIndex:
     """Recover the unique (m, n) with triple_from_lattice(m, n) == t.
 
-    m = (1 + sqrt(c - b)) / 2 and n = (a + b - c) / (2 sqrt(c - b)), both
-    forced to be positive integers when t belongs to the lattice class.
-    Raises NotInClassC naming the first failed membership condition
-    otherwise.
+    Raises NotInClassC unless a is odd and d = c - b is a square r^2; no
+    other condition can fail once a^2 + b^2 = c^2 holds.  Two odd legs give
+    c^2 = 2 (mod 4), so b is even, c, d and r are odd, and m = (r + 1)/2.
+    With e = c - a and f = a + b - c > 0 the identity reads f^2 = 2ed, so
+    the rational f/r has the even integer square 2e and is an even integer
+    2n: f = 2nr, e = 2n^2, and (m, n) maps to (d + f, e + f, d + e + f) = t.
     """
     if t.a % 2 == 0:
         raise NotInClassC(f"a = {t.a} is even; lattice triples have a odd")
-    if t.b % 2:
-        raise NotInClassC(f"b = {t.b} is odd; lattice triples have b even")
     d = t.c - t.b
     r = isqrt(d)
     if r * r != d:
         raise NotInClassC(f"c - b = {d} is not a perfect square")
-    f = t.a + t.b - t.c
-    if f % (2 * r):
-        raise NotInClassC(
-            f"a + b - c = {f} is not divisible by 2*sqrt(c - b) = {2 * r}"
-        )
-    idx = LatticeIndex((1 + r) // 2, f // (2 * r))
-    if triple_from_lattice(idx) != t:
-        raise NotInClassC("no lattice point generates this triple")
-    return idx
+    return LatticeIndex((1 + r) // 2, (t.a + t.b - t.c) // (2 * r))
 
 
 def is_primitive_lattice(idx: LatticeIndex) -> bool:
@@ -292,13 +284,11 @@ def euclid_params_from_triple(t: Triple) -> EuclidParams | None:
 def decompose(t: Triple) -> Decomposition:
     """Split a lattice-oriented triple into (e, f, d) = (c-a, a+b-c, c-b).
 
-    Requires a odd and b even (raises NotInClassC otherwise); inverse of
-    compose_def.
+    Requires a odd, else raises NotInClassC; b is then even, since two odd
+    legs would give c^2 = 2 (mod 4).  Inverse of compose_def.
     """
     if t.a % 2 == 0:
         raise NotInClassC(f"a = {t.a} is even; decompose needs a odd")
-    if t.b % 2:
-        raise NotInClassC(f"b = {t.b} is odd; decompose needs b even")
     return Decomposition(e=t.c - t.a, f=t.a + t.b - t.c, d=t.c - t.b)
 
 

@@ -1,6 +1,7 @@
 """Unit tests for classification, the two oracles and verify_chain."""
 
 import importlib
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -15,6 +16,7 @@ from triple_lattice.classify import (
     classify,
     verify_chain,
 )
+from triple_lattice.cli import main
 from triple_lattice.core import (
     EuclidParams,
     LatticeIndex,
@@ -235,3 +237,108 @@ def test_verify_chain_bound_errors():
         verify_chain(4)
     with pytest.raises(BoundTooLarge):
         verify_chain(100, oracle_ceiling=50)
+
+
+# Fault injectors: each wraps a name verify_chain calls in classify.
+
+
+def _drop_11th(stream):
+    return lambda c_max: (r for i, r in enumerate(stream(c_max)) if i != 10)
+
+
+def _repeat_11th(stream):
+    return lambda c_max: (
+        r for i, r in enumerate(stream(c_max)) for _ in range(1 + (i == 10))
+    )
+
+
+def _both_leg_orders_of_11th(stream):
+    return lambda c_max: (
+        r
+        for i, t in enumerate(stream(c_max))
+        for r in ((t, Triple(t.b, t.a, t.c)) if i == 10 else (t,))
+    )
+
+
+_LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 65)"
+
+
+@pytest.mark.parametrize(
+    "faults,expected",
+    [
+        (
+            [("lattice_enumerate_indexed", _drop_11th)],
+            (
+                "1 primitive triples missing from the lattice set, e.g. (33, 56, 65)",
+                "1 Euclid-minus-all-even triples missing from the lattice, "
+                "e.g. (33, 56, 65)",
+            ),
+        ),
+        (
+            [("berggren_triples", lambda f: lambda *a: f(*a) - {Triple(3, 4, 5)})],
+            (
+                "1 Euclid triples missing from the oracle set, e.g. (3, 4, 5)",
+                "primitivity mismatch at (m=1, n=1): (3, 4, 5)",
+            ),
+        ),
+        (
+            [
+                (
+                    "lattice_enumerate_indexed",
+                    lambda f: lambda c_max: chain(
+                        [(LatticeIndex(1, 1), Triple(9, 12, 15))], f(c_max)
+                    ),
+                )
+            ],
+            (
+                "1 lattice triples missing from the Euclid set, e.g. (9, 12, 15)",
+                "1 lattice triples outside Euclid-minus-all-even, e.g. (9, 12, 15)",
+                "primitivity mismatch at (m=1, n=1): (9, 12, 15)",
+            ),
+        ),
+        (
+            [
+                (
+                    "is_primitive_lattice",
+                    lambda f: lambda idx: f(idx) != (idx == LatticeIndex(2, 3)),
+                )
+            ],
+            ("primitivity mismatch at (m=2, n=3): (27, 36, 45)",),
+        ),
+        ([("lattice_enumerate_indexed", _repeat_11th)], (_LATTICE_DUPLICATE,)),
+        (
+            [("extended_enumerate", _repeat_11th)],
+            ("1 duplicate records in the Euclid stream, e.g. (32, 24, 40)",),
+        ),
+        (
+            [
+                ("extended_enumerate", _both_leg_orders_of_11th),
+                ("lattice_enumerate_indexed", _repeat_11th),
+            ],
+            (
+                _LATTICE_DUPLICATE,
+                "1 duplicate records in the Euclid stream, e.g. (24, 32, 40)",
+            ),
+        ),
+    ],
+    ids=[
+        "lattice-drop",
+        "tree-drop",
+        "lattice-extra",
+        "primitivity-flip",
+        "lattice-repeat",
+        "euclid-repeat",
+        "both-repeat-euclid-in-both-leg-orders",
+    ],
+)
+def test_verify_chain_reports_each_injected_fault(
+    faults, expected, monkeypatch, capsys
+):
+    module = importlib.import_module("triple_lattice.classify")
+    for name, fault in faults:
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    assert verify_chain(500).discrepancies == expected
+    assert main(["verify", "--c-max", "500"]) == 5
+    assert capsys.readouterr().err.splitlines() == [
+        f"discrepancy: {text}" for text in expected
+    ]

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import triple_lattice
+from triple_lattice.classify import brute_force_triples
 from triple_lattice.core import (
     U64_MAX,
     Decomposition,
@@ -28,6 +29,7 @@ from triple_lattice.core import (
     lattice_from_triple,
     triple_from_lattice,
 )
+from triple_lattice.series import lattice_enumerate
 
 idx = st.integers(min_value=1, max_value=400)
 
@@ -43,7 +45,7 @@ def test_package_exports_exactly_the_submodule_names():
     ]
     names = triple_lattice.__all__
     assert len(names) == len(set(names))
-    assert set(names) == set().union(*(module.__all__ for module in modules))
+    assert names == [name for module in modules for name in module.__all__]
     for module in modules:
         for name in module.__all__:
             assert getattr(triple_lattice, name) is getattr(module, name), name
@@ -227,6 +229,26 @@ def test_lattice_from_triple_golden(triple, expected):
 def test_lattice_from_triple_rejects_outsiders(triple, condition):
     with pytest.raises(NotInClassC, match=condition):
         lattice_from_triple(Triple(*triple))
+
+
+def test_inverse_contract_over_every_triple_to_2000():
+    lattice = set(lattice_enumerate(2000))
+    for found in brute_force_triples(2000):
+        for t in (found, Triple(found.b, found.a, found.c)):
+            if t in lattice:
+                assert triple_from_lattice(lattice_from_triple(t)) == t
+            else:
+                with pytest.raises(NotInClassC) as info:
+                    lattice_from_triple(t)
+                assert str(info.value) in (
+                    f"a = {t.a} is even; lattice triples have a odd",
+                    f"c - b = {t.c - t.b} is not a perfect square",
+                )
+            if t.a % 2:
+                decompose(t)
+            else:
+                with pytest.raises(NotInClassC):
+                    decompose(t)
 
 
 @given(m=idx, n=idx)
