@@ -3,10 +3,14 @@
 Subcommands: gen, inv, enum, series, classify, verify, family.  Every
 command names its fields once and hands rows of values to _emit, the one
 writer of stdout, as json-lines (default), csv or table; json-lines and csv
-are byte-stable, table is for humans.  verify writes one json-lines record
-(c_max, counts, witnesses, discrepancies), or in csv and table one row per
-set (set, count, witness_a, witness_b, witness_c) and a last row counting
-the discrepancies, each of which also goes to stderr as
+are byte-stable, table is for humans.  json-lines and csv fill one
+%-template per call with each row's cells.  enum, series and family take
+their rows straight from the plain (c, a, b, i, j) records of the series
+walks: each record passes every test that Triple and its index type make on
+construction, but neither object is built.  verify writes one json-lines
+record (c_max, counts, witnesses, discrepancies), or in csv and table one
+row per set (set, count, witness_a, witness_b, witness_c) and a last row
+counting the discrepancies, each of which also goes to stderr as
 "discrepancy: <text>".  Exit codes: 0 success (also when the reader closes
 stdout early, EPIPE), 2 argument error, 3 overflow (a result or --c-max
 above 2^64 - 1), 4 not in the lattice class, 5 verification discrepancy.
@@ -18,8 +22,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
-from itertools import chain, islice, starmap
+from itertools import chain, islice
 from math import gcd
 
 from .classify import DEFAULT_ORACLE_CEILING, classify, verify_chain
@@ -27,17 +30,19 @@ from .core import (
     LatticeIndex,
     NotInClassC,
     Triple,
+    _is_primitive_at,
     is_primitive_lattice,
     lattice_from_triple,
     triple_from_lattice,
 )
 from .series import (
-    even_series,
-    extended_enumerate_indexed,
-    lattice_enumerate_indexed,
-    odd_series,
-    platonic_family,
-    pythagorean_family,
+    _checked,
+    _even_records,
+    _extended_records,
+    _lattice_records,
+    _odd_records,
+    _platonic_records,
+    _pythagorean_records,
 )
 
 FORMAT_ENV = "TRIPLE_LATTICE_FORMAT"
@@ -66,42 +71,42 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
-
-
 def _emit(rows, fields, fmt) -> None:
     # The one writer of stdout.  Each row is a tuple of values in fields
-    # order, and rows may be a lazy stream.  The table format sizes its
-    # columns from the first TABLE_SIZING_ROWS rows only, so memory never
-    # follows the stream's length; a later, longer cell widens its column
-    # from there on.  A json-lines or csv record is one write of its line
-    # and newline, encoded for json-lines by the one shared _encode;
+    # order, and rows may be a lazy stream.  A cell is "true"/"false" for a
+    # bool, "null" in json-lines and empty otherwise for None, and str of
+    # any other value; a json-lines row holds no str but JSON text that a
+    # caller encoded itself.  json-lines and csv fill one %-template per
+    # call and write each record as one write of its line and newline;
     # sys.stdout is looked up at each write, so a swapped stream is honoured.
-    if fmt == "json-lines":
-        for row in rows:
-            sys.stdout.write(_encode(dict(zip(fields, row))) + "\n")
-    elif fmt == "csv":
-        sys.stdout.write(",".join(fields) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(map(_cell, row)) + "\n")
-    else:
-        cells = (list(map(_cell, row)) for row in rows)
-        head = list(islice(cells, TABLE_SIZING_ROWS))
+    # The table format sizes its columns from the first TABLE_SIZING_ROWS
+    # rows only, so memory never follows the stream's length; a later,
+    # longer cell widens its column from there on.
+    null = "null" if fmt == "json-lines" else ""
+    cells = (
+        tuple([("true" if v else "false") if v is True or v is False else null if v is None else v
+               for v in row])
+        for row in rows
+    )
+    if fmt == "table":
+        texts = (list(map(str, row)) for row in cells)
+        head = list(islice(texts, TABLE_SIZING_ROWS))
         widths = [
             max(len(name), *(len(row[i]) for row in head)) if head else len(name)
             for i, name in enumerate(fields)
         ]
         print("  ".join(name.ljust(w) for name, w in zip(fields, widths)).rstrip())
-        for row in chain(head, cells):
+        for row in chain(head, texts):
             widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        return
+    if fmt == "json-lines":
+        template = "{" + ",".join(f'"{name}":%s' for name in fields) + "}\n"
+    else:
+        template = ",".join(["%s"] * len(fields)) + "\n"
+        sys.stdout.write(",".join(fields) + "\n")
+    for row in cells:
+        sys.stdout.write(template % row)
 
 
 def _resolve_format(args: argparse.Namespace) -> str:
@@ -111,14 +116,10 @@ def _resolve_format(args: argparse.Namespace) -> str:
     return fmt
 
 
-def _lattice_row(idx: LatticeIndex, t: Triple) -> tuple:
-    return idx.m, idx.n, t.a, t.b, t.c, is_primitive_lattice(idx)
-
-
 def cmd_gen(args: argparse.Namespace, fmt: str) -> int:
     idx = LatticeIndex(args.m, args.n)
     t = triple_from_lattice(idx)
-    row = (*_lattice_row(idx, t), t.c - t.b, t.c - t.a)
+    row = (idx.m, idx.n, t.a, t.b, t.c, is_primitive_lattice(idx), t.c - t.b, t.c - t.a)
     _emit([row], LATTICE_FIELDS + ("d", "e"), fmt)
     return EXIT_OK
 
@@ -133,35 +134,34 @@ def cmd_inv(args: argparse.Namespace, fmt: str) -> int:
     return EXIT_OK
 
 
+def _lattice_rows(records):
+    # Lattice rows straight from (c, a, b, m, n) records, each checked first.
+    return ((m, n, a, b, c, _is_primitive_at(m, n)) for c, a, b, m, n in _checked(records))
+
+
 def cmd_enum(args: argparse.Namespace, fmt: str) -> int:
     if args.mode == "lattice":
-        rows = starmap(_lattice_row, lattice_enumerate_indexed(args.c_max))
+        rows = _lattice_rows(_lattice_records(args.c_max))
         fields = LATTICE_FIELDS
     else:
         rows = (
-            (idx.mu, idx.n, t.a, t.b, t.c, gcd(t.a, t.b, t.c) == 1)
-            for idx, t in extended_enumerate_indexed(args.c_max)
+            (mu, n, a, b, c, gcd(a, b, c) == 1)
+            for c, a, b, mu, n in _checked(_extended_records(args.c_max), "mu")
         )
         fields = ("mu", "n", "a", "b", "c", "primitive")
     _emit(rows, fields, fmt)
     return EXIT_OK
 
 
-def _rows_by_inverse(triples: Iterable[Triple]) -> Iterator[tuple]:
-    # The library owns each walk; the exact inverse recovers each row's (m, n).
-    return (_lattice_row(lattice_from_triple(t), t) for t in triples)
-
-
 def cmd_series(args: argparse.Namespace, fmt: str) -> int:
-    series = odd_series if args.kind == "odd" else even_series
-    _emit(_rows_by_inverse(series(args.index, args.c_max)), LATTICE_FIELDS, fmt)
+    records = _odd_records if args.kind == "odd" else _even_records
+    _emit(_lattice_rows(records(args.index, args.c_max)), LATTICE_FIELDS, fmt)
     return EXIT_OK
 
 
 def cmd_family(args: argparse.Namespace, fmt: str) -> int:
-    member = pythagorean_family if args.kind == "pythagorean" else platonic_family
-    triples = map(member, range(1, args.count + 1))
-    _emit(_rows_by_inverse(triples), LATTICE_FIELDS, fmt)
+    records = _pythagorean_records if args.kind == "pythagorean" else _platonic_records
+    _emit(_lattice_rows(records(args.count)), LATTICE_FIELDS, fmt)
     return EXIT_OK
 
 
@@ -203,7 +203,8 @@ def cmd_verify(args: argparse.Namespace, fmt: str) -> int:
         )
     }
     if fmt == "json-lines":
-        rows = [(report.c_max, counts, witnesses, report.discrepancies)]
+        # _emit puts json-lines cells in as they are: nest as JSON text.
+        rows = [(report.c_max, *map(_encode, (counts, witnesses, report.discrepancies)))]
         fields = ("c_max", "counts", "witnesses", "discrepancies")
     else:
         # A set's row carries the witness that lies in it but not in the

@@ -72,17 +72,44 @@ def _check_width(*values: int) -> None:
             raise OverflowError(f"component {v} exceeds the checked 64-bit width")
 
 
+def _check_triple(a: int, b: int, c: int) -> None:
+    """Run every test Triple(a, b, c) makes, raising what it raises.
+
+    Valid components pay one combined type-and-range test; only when it
+    fails do the per-field checks run, in order a, b, c and then the
+    width, so invalid input gets the error naming its first bad field.
+    """
+    if not (
+        type(a) is int
+        and type(b) is int
+        and type(c) is int
+        and 0 < a <= U64_MAX
+        and 0 < b <= U64_MAX
+        and 0 < c <= U64_MAX
+    ):
+        _require_positive_int("a", a)
+        _require_positive_int("b", b)
+        _require_positive_int("c", c)
+        _check_width(a, b, c)
+    if a * a + b * b != c * c:
+        raise ValueError(f"not a Pythagorean triple: {a}^2 + {b}^2 != {c}^2")
+
+
+def _check_index(name: str, i: int, n: int) -> None:
+    """Run every test an index (i, n) makes, its first field called name."""
+    if not (type(i) is int and i > 0 and type(n) is int and n > 0):
+        _require_positive_int(name, i)
+        _require_positive_int("n", n)
+
+
 @dataclass(frozen=True)
 class Triple:
     """An ordered Pythagorean triple: a*a + b*b == c*c, all components >= 1.
 
     Construction of a non-Pythagorean triple raises ValueError; components
     above U64_MAX raise OverflowError.  c > a and c > b follow from the
-    identity.  Instances are immutable and hashable.
-
-    Valid components pay one combined type-and-range test; only when it
-    fails do the per-field checks run, in order a, b, c and then the
-    width, so invalid input gets the error naming its first bad field.
+    identity.  Instances are immutable and hashable.  The tests live in
+    _check_triple, which also checks the CLI's plain records.
     """
 
     a: int
@@ -90,21 +117,7 @@ class Triple:
     c: int
 
     def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
-        if not (
-            type(a) is int
-            and type(b) is int
-            and type(c) is int
-            and 0 < a <= U64_MAX
-            and 0 < b <= U64_MAX
-            and 0 < c <= U64_MAX
-        ):
-            _require_positive_int("a", a)
-            _require_positive_int("b", b)
-            _require_positive_int("c", c)
-            _check_width(a, b, c)
-        if a * a + b * b != c * c:
-            raise ValueError(f"not a Pythagorean triple: {a}^2 + {b}^2 != {c}^2")
+        _check_triple(self.a, self.b, self.c)
 
 
 @dataclass(frozen=True)
@@ -115,10 +128,7 @@ class LatticeIndex:
     n: int
 
     def __post_init__(self) -> None:
-        m, n = self.m, self.n
-        if not (type(m) is int and m > 0 and type(n) is int and n > 0):
-            _require_positive_int("m", m)
-            _require_positive_int("n", n)
+        _check_index("m", self.m, self.n)
 
 
 @dataclass(frozen=True)
@@ -133,10 +143,7 @@ class ExtendedIndex:
     n: int
 
     def __post_init__(self) -> None:
-        mu, n = self.mu, self.n
-        if not (type(mu) is int and mu > 0 and type(n) is int and n > 0):
-            _require_positive_int("mu", mu)
-            _require_positive_int("n", n)
+        _check_index("mu", self.mu, self.n)
 
 
 @dataclass(frozen=True)
@@ -238,7 +245,12 @@ def is_primitive_lattice(idx: LatticeIndex) -> bool:
     2m-1 is odd, so even factors of n can never defeat the test; no
     special-casing is needed for even n.
     """
-    return gcd(idx.n, 2 * idx.m - 1) == 1
+    return _is_primitive_at(idx.m, idx.n)
+
+
+def _is_primitive_at(m: int, n: int) -> bool:
+    """is_primitive_lattice on plain ints, for records that carry no index."""
+    return gcd(n, 2 * m - 1) == 1
 
 
 def extended_triple(idx: ExtendedIndex) -> Triple:

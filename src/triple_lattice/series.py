@@ -3,9 +3,11 @@
 Every stream walks a line of the index lattice on which c rises (a
 column, a row, the diagonal) or merges all columns, carrying plain
 (c, a, b, i, j) tuples; Triple and index objects are built only at the
-public edge.  Streams are single-consumer iterators; merged slices come
-out c ascending, then a.  Each stream checks c_max <= U64_MAX once, at
-call time, which bounds every component it can yield.
+public edge.  The CLI takes the same records through _checked instead,
+which runs the constructors' tests on each without building the objects.
+Streams are single-consumer iterators; merged slices come out c
+ascending, then a.  Each stream checks c_max <= U64_MAX once, at call
+time, which bounds every component it can yield.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .core import (
     ExtendedIndex,
     LatticeIndex,
     Triple,
+    _check_index,
+    _check_triple,
     _extended_abc,
     _lattice_abc,
     _require_positive_int,
@@ -93,22 +97,67 @@ def _merge(form: _Form, c_max: int) -> Iterator[_Record]:
             push(i + 1, 1)
 
 
+def _checked(records: Iterator[_Record], name: str = "m") -> Iterator[_Record]:
+    """Pass each (c, a, b, i, j) on once it passes every test its index
+    (first field called name) and its Triple would make on construction.
+
+    The CLI streams these records without building either object.
+    """
+    for record in records:
+        c, a, b, i, j = record
+        _check_index(name, i, j)
+        _check_triple(a, b, c)
+        yield record
+
+
 def _triples(records: Iterator[_Record]) -> Iterator[Triple]:
     return (Triple(a, b, c) for c, a, b, _, _ in records)
 
 
-def odd_series(m: int, c_max: int) -> Iterator[Triple]:
-    """Stream the triples with c - b = (2m-1)^2 and c <= c_max, c ascending."""
+def _odd_records(m: int, c_max: int) -> Iterator[_Record]:
     _require_positive_int("m", m)
     _check_bound(c_max)
-    return _triples(_walk(_lattice_abc, zip(repeat(m), count(1)), c_max))
+    return _walk(_lattice_abc, zip(repeat(m), count(1)), c_max)
+
+
+def _even_records(n: int, c_max: int) -> Iterator[_Record]:
+    _require_positive_int("n", n)
+    _check_bound(c_max)
+    return _walk(_lattice_abc, zip(count(1), repeat(n)), c_max)
+
+
+def _lattice_records(c_max: int) -> Iterator[_Record]:
+    _check_bound(c_max)
+    return _merge(_lattice_abc, c_max)
+
+
+def _extended_records(c_max: int) -> Iterator[_Record]:
+    _check_bound(c_max)
+    return _merge(_extended_abc, c_max)
+
+
+def _pythagorean_records(count: int) -> Iterator[_Record]:
+    """The first count members of the Pythagorean family (m = 1), as records.
+
+    c rises along a family, so the last member's c bounds the walk and it
+    never stops early; a member past U64_MAX fails its own check instead.
+    """
+    return _walk(_lattice_abc, zip(repeat(1), range(1, count + 1)), _lattice_abc(1, count)[2])
+
+
+def _platonic_records(count: int) -> Iterator[_Record]:
+    """The first count members of the Platonic family (n = 1), bounded alike."""
+    return _walk(_lattice_abc, zip(range(1, count + 1), repeat(1)), _lattice_abc(count, 1)[2])
+
+
+def odd_series(m: int, c_max: int) -> Iterator[Triple]:
+    """Stream the triples with c - b = (2m-1)^2 and c <= c_max, c ascending."""
+    return _triples(_odd_records(m, c_max))
 
 
 def even_series(n: int, c_max: int) -> Iterator[Triple]:
     """Stream the triples with c - a = 2n^2 and c <= c_max, c ascending."""
-    _require_positive_int("n", n)
-    _check_bound(c_max)
-    return _triples(_walk(_lattice_abc, zip(count(1), repeat(n)), c_max))
+    return _triples(_even_records(n, c_max))
 
 
 def lattice_enumerate_indexed(c_max: int) -> Iterator[tuple[LatticeIndex, Triple]]:
@@ -116,15 +165,13 @@ def lattice_enumerate_indexed(c_max: int) -> Iterator[tuple[LatticeIndex, Triple
 
     Order: c ascending, then a.  Column m joins at its head, c = 4m^2 + 1.
     """
-    _check_bound(c_max)
-    records = _merge(_lattice_abc, c_max)
+    records = _lattice_records(c_max)
     return ((LatticeIndex(m, n), Triple(a, b, c)) for c, a, b, m, n in records)
 
 
 def lattice_enumerate(c_max: int) -> Iterator[Triple]:
     """Stream every lattice triple with c <= c_max, c ascending then a."""
-    _check_bound(c_max)
-    return _triples(_merge(_lattice_abc, c_max))
+    return _triples(_lattice_records(c_max))
 
 
 def extended_enumerate_indexed(c_max: int) -> Iterator[tuple[ExtendedIndex, Triple]]:
@@ -132,15 +179,13 @@ def extended_enumerate_indexed(c_max: int) -> Iterator[tuple[ExtendedIndex, Trip
 
     Order: c ascending, then a.  Column mu joins at its head, c = mu^2 + 2mu + 2.
     """
-    _check_bound(c_max)
-    records = _merge(_extended_abc, c_max)
+    records = _extended_records(c_max)
     return ((ExtendedIndex(mu, n), Triple(a, b, c)) for c, a, b, mu, n in records)
 
 
 def extended_enumerate(c_max: int) -> Iterator[Triple]:
     """Stream every Euclid-form triple with c <= c_max, c ascending then a."""
-    _check_bound(c_max)
-    return _triples(_merge(_extended_abc, c_max))
+    return _triples(_extended_records(c_max))
 
 
 def pythagorean_family(n: int) -> Triple:

@@ -16,6 +16,7 @@ from triple_lattice import (
     LatticeIndex,
     Triple,
     cli,
+    core,
     even_series,
     extended_enumerate_indexed,
     is_primitive_lattice,
@@ -24,6 +25,7 @@ from triple_lattice import (
     odd_series,
     platonic_family,
     pythagorean_family,
+    series,
     triple_from_lattice,
     verify_chain,
 )
@@ -409,6 +411,127 @@ def test_enum_stdout_matches_pinned_digest(run, argv, digest):
     code, out, err = run(*argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Exit code, stderr and the stdout of each format, recorded before json-lines
+# and csv went through one %-template: bools, None and nested values byte for
+# byte.
+SINGLE_ROW_OUTPUT = {
+    ("gen", "2", "3"): (0, "", {
+        "json-lines": '{"m":2,"n":3,"a":27,"b":36,"c":45,"primitive":false,"d":9,"e":18}\n',
+        "csv": "m,n,a,b,c,primitive,d,e\n2,3,27,36,45,false,9,18\n",
+        "table": "m  n  a   b   c   primitive  d  e\n"
+                 "2  3  27  36  45  false      9  18\n",
+    }),
+    ("inv", "27", "36", "45"): (0, "", {
+        "json-lines": '{"m":2,"n":3}\n',
+        "csv": "m,n\n2,3\n",
+        "table": "m  n\n2  3\n",
+    }),
+    ("inv", "9", "12", "15"): (4, "not in class C: c - b = 3 is not a perfect square\n", {
+        "json-lines": "",
+        "csv": "",
+        "table": "",
+    }),
+    ("classify", "27", "36", "45"): (0, "", {
+        "json-lines": '{"a":27,"b":36,"c":45,"in_P":true,"in_E":true,"in_C":true,'
+                      '"in_P0":false,"m":2,"n":3,"u":6,"v":3,"scale":9}\n',
+        "csv": "a,b,c,in_P,in_E,in_C,in_P0,m,n,u,v,scale\n"
+               "27,36,45,true,true,true,false,2,3,6,3,9\n",
+        "table": "a   b   c   in_P  in_E  in_C  in_P0  m  n  u  v  scale\n"
+                 "27  36  45  true  true  true  false  2  3  6  3  9\n",
+    }),
+    ("classify", "9", "12", "15"): (0, "", {
+        "json-lines": '{"a":9,"b":12,"c":15,"in_P":true,"in_E":false,"in_C":false,'
+                      '"in_P0":false,"m":null,"n":null,"u":null,"v":null,"scale":3}\n',
+        "csv": "a,b,c,in_P,in_E,in_C,in_P0,m,n,u,v,scale\n"
+               "9,12,15,true,false,false,false,,,,,3\n",
+        "table": "a  b   c   in_P  in_E   in_C   in_P0  m  n  u  v  scale\n"
+                 "9  12  15  true  false  false  false              3\n",
+    }),
+    ("classify", "2", "3", "4"): (0, "", {
+        "json-lines": '{"a":2,"b":3,"c":4,"in_P":false,"in_E":false,"in_C":false,'
+                      '"in_P0":false,"m":null,"n":null,"u":null,"v":null,"scale":null}\n',
+        "csv": "a,b,c,in_P,in_E,in_C,in_P0,m,n,u,v,scale\n"
+               "2,3,4,false,false,false,false,,,,,\n",
+        "table": "a  b  c  in_P   in_E   in_C   in_P0  m  n  u  v  scale\n"
+                 "2  3  4  false  false  false  false\n",
+    }),
+    ("verify", "--c-max", "50"): (0, "", {
+        "json-lines": '{"c_max":50,"counts":{"P":20,"E":14,"C":8,"P0":7},'
+                      '"witnesses":{"P_not_E":[9,12,15],"E_not_C":[8,6,10],'
+                      '"C_not_P0":[27,36,45]},"discrepancies":[]}\n',
+        "csv": "set,count,witness_a,witness_b,witness_c\n"
+               "P,20,9,12,15\nE,14,8,6,10\nC,8,27,36,45\nP0,7,,,\ndiscrepancies,0,,,\n",
+        "table": "set            count  witness_a  witness_b  witness_c\n"
+                 "P              20     9          12         15\n"
+                 "E              14     8          6          10\n"
+                 "C              8      27         36         45\n"
+                 "P0             7\n"
+                 "discrepancies  0\n",
+    }),
+}
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("argv", list(SINGLE_ROW_OUTPUT))
+def test_single_row_commands_print_pinned_bytes(run, argv, fmt):
+    code, err, out = SINGLE_ROW_OUTPUT[argv]
+    assert run(*argv, "--format", fmt) == (code, out[fmt], err)
+
+
+def corrupt_form(monkeypatch, name, point):
+    # Every stream reads its forward formula as a module global of core or
+    # series; make it return c + 2 at one point, wherever it is read.
+    form = getattr(core, name)
+
+    def corrupted(i, j):
+        a, b, c = form(i, j)
+        return (a, b, c + 2) if (i, j) == point else (a, b, c)
+
+    for module in (core, series):
+        monkeypatch.setattr(module, name, corrupted)
+
+
+# (formula, corrupted point, argv, json-lines records before the error, stderr)
+CORRUPTED_RECORDS = [
+    ("_lattice_abc", (2, 3), ("enum", "--c-max", "500"), 7,
+     "error: not a Pythagorean triple: 27^2 + 36^2 != 47^2\n"),
+    ("_extended_abc", (2, 3), ("enum", "--c-max", "500", "--mode", "extended"), 8,
+     "error: not a Pythagorean triple: 16^2 + 30^2 != 36^2\n"),
+    ("_lattice_abc", (2, 3), ("series", "odd", "2", "--c-max", "500"), 2,
+     "error: not a Pythagorean triple: 27^2 + 36^2 != 47^2\n"),
+    ("_lattice_abc", (1, 4), ("family", "pythagorean"), 3,
+     "error: not a Pythagorean triple: 9^2 + 40^2 != 43^2\n"),
+    ("_lattice_abc", (3, 1), ("family", "platonic"), 2,
+     "error: not a Pythagorean triple: 35^2 + 12^2 != 39^2\n"),
+]
+
+
+@pytest.mark.parametrize("form,point,argv,before,err", CORRUPTED_RECORDS)
+def test_every_streamed_record_is_checked(run, monkeypatch, form, point, argv, before, err):
+    clean = {fmt: run(*argv, "--format", fmt)[1].splitlines() for fmt in cli.FORMATS}
+    corrupt_form(monkeypatch, form, point)
+    # csv prints its header first; table holds its sizing rows, so prints none.
+    for fmt, printed in (("json-lines", before), ("csv", before + 1), ("table", 0)):
+        code, out, error = run(*argv, "--format", fmt)
+        assert (code, error) == (2, err)
+        assert out.splitlines() == clean[fmt][:printed]
+
+
+@pytest.mark.parametrize(
+    "kind,before,err",
+    [("pythagorean", 6, "error: component 112 exceeds the checked 64-bit width\n"),
+     ("platonic", 4, "error: component 101 exceeds the checked 64-bit width\n")],
+)
+def test_family_member_past_the_width_exits_3_after_the_rows_before_it(
+    run, monkeypatch, kind, before, err
+):
+    clean = run("family", kind)[1].splitlines()
+    monkeypatch.setattr(core, "U64_MAX", 100)
+    code, out, error = run("family", kind)
+    assert (code, error) == (3, err)
+    assert out.splitlines() == clean[:before]
 
 
 def test_enum_csv_has_header_naming_fields(run):
