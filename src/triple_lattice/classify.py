@@ -5,34 +5,39 @@ P is the set of all Pythagorean triples, E those of the Euclid form
 hypotenuse (the lattice domain), and P0 the primitive triples.  Each
 inclusion is strict.
 
-P and P0 are rebuilt without the lattice or the Euclid formula.
-berggren_triples, verify_chain's route to them, walks the ternary tree of
-primitive triples of Berggren (1934) and Hall (1970) from (3, 4, 5) and
-adds every multiple up to the bound, in near-linear time.
-brute_force_triples, a plain double loop over legs with an exact square
-lookup for the hypotenuse, is kept as the trusted small-bound ground truth
-that the tests and the acceptance criteria compare against.
+verify_chain checks the chain up to a bound by three routes, each walked
+once on plain ints: the lattice stream, the Euclid stream, and the ternary
+tree of primitive triples of Berggren (1934) and Hall (1970) from
+(3, 4, 5) with every multiple up to the bound, which uses neither the
+lattice nor the Euclid formula.  It folds each set into a count and
+per-c-band multiset hashes, so its memory stays flat, and builds sets only
+over the bands whose hashes disagree.  berggren_triples is the tree walk
+as a set.  brute_force_triples, a plain double loop over legs with an
+exact square lookup for the hypotenuse, is kept as the trusted small-bound
+ground truth that the tests and the acceptance criteria compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .core import (
     EuclidParams,
     LatticeIndex,
     Triple,
+    _check_triple,
+    _is_primitive_at,
     _require_positive_int,
     canonicalize,
     euclid_params_from_triple,
-    is_primitive_lattice,
     lattice_from_triple,
 )
-from .series import MIN_HYPOTENUSE, extended_enumerate, lattice_enumerate_indexed
+from .series import MIN_HYPOTENUSE, _checked, _extended_records, _lattice_records
 
 __all__ = [
     "DEFAULT_ORACLE_CEILING",
+    "DEFAULT_VERIFY_CEILING",
     "BoundTooLarge",
     "ClassReport",
     "ChainReport",
@@ -42,9 +47,18 @@ __all__ = [
     "verify_chain",
 ]
 
-#: Largest hypotenuse bound the oracles accept by default.  Both build
-#: their whole set in memory, which grows with the bound.
+#: Largest hypotenuse bound brute_force_triples and berggren_triples
+#: accept by default.  Both return a whole set, which grows with the bound.
 DEFAULT_ORACLE_CEILING = 10_000
+
+#: Largest hypotenuse bound verify_chain accepts by default.  Its memory is
+#: flat, so the bound is set by time: about 2.5 s at 10^6.
+DEFAULT_VERIFY_CEILING = 1_000_000
+
+#: verify_chain hashes each set per band of this many equal slices of
+#: (0, c_max] (c lies in band (c - 1) * _BANDS // c_max), and builds sets
+#: only over the bands that disagree.
+_BANDS = 64
 
 
 class BoundTooLarge(ValueError):
@@ -152,28 +166,34 @@ def _berggren_primitives(c_max: int):
         stack.append((2 * b - a + 2 * c, b - 2 * a + 2 * c, 2 * b - 2 * a + 3 * c))
 
 
+def _tree_multiples(c_max: int):
+    """Yield (a, b, c, k) for k times each tree primitive, c <= c_max.
+
+    The orientation is brute_force_triples's: odd leg first for odd k, legs
+    ascending for even k.  The triples are not checked here:
+    berggren_triples builds each as a Triple, and verify_chain runs
+    _check_triple on each.
+    """
+    for a, b, c in _berggren_primitives(c_max):
+        odd, even = (a, b) if a % 2 else (b, a)
+        lo, hi = (a, b) if a < b else (b, a)
+        for k in range(1, c_max // c + 1):
+            if k % 2:
+                yield k * odd, k * even, k * c, k
+            else:
+                yield k * lo, k * hi, k * c, k
+
+
 def berggren_triples(
     c_max: int, oracle_ceiling: int = DEFAULT_ORACLE_CEILING
 ) -> set[Triple]:
     """Every Pythagorean triple with c <= c_max: k times each tree primitive.
 
     Returns the same set as brute_force_triples, in the same canonical
-    orientation (odd leg first for odd k, legs ascending for even k), and
-    raises the same errors for the same bounds.  The orientation is set
-    directly rather than by canonicalize, which builds a second Triple for
-    half of the multiples and made verify slower and its peak RSS larger.
+    orientation, and raises the same errors for the same bounds.
     """
     _check_oracle_bound(c_max, oracle_ceiling)
-    found: set[Triple] = set()
-    for a, b, c in _berggren_primitives(c_max):
-        odd, even = (a, b) if a % 2 else (b, a)
-        lo, hi = min(a, b), max(a, b)
-        for k in range(1, c_max // c + 1):
-            if k % 2:
-                found.add(Triple(k * odd, k * even, k * c))
-            else:
-                found.add(Triple(k * lo, k * hi, k * c))
-    return found
+    return {Triple(a, b, c) for a, b, c, _ in _tree_multiples(c_max)}
 
 
 @dataclass(frozen=True)
@@ -182,8 +202,10 @@ class ChainReport:
 
     Witnesses are the (c, a)-smallest member of each strict-inclusion gap,
     or None when the bound is too small for the gap to be populated; the
-    E-minus-C witness keeps the Euclid formula orientation.  An empty
-    discrepancies tuple means every cross-route check agreed.
+    E-minus-C witness keeps the Euclid formula orientation.  Each count is
+    the number of records its route yielded, which is the size of the set
+    when the routes agree.  An empty discrepancies tuple means every
+    cross-route check agreed.
     """
 
     c_max: int
@@ -201,52 +223,134 @@ class ChainReport:
         return not self.discrepancies
 
 
-def _smallest(triples) -> Triple | None:
-    return min(triples, key=lambda t: (t.c, t.a), default=None)
+def _in_euclid(c_max: int) -> set[int]:
+    """The multipliers k for which k times a primitive is a Euclid triple.
+
+    k p = (u^2 - v^2, 2uv, u^2 + v^2) needs k = s^2 (u, v = s times p's
+    pair) or k = 2 s^2 (u, v = s times the sum and difference of p's
+    pair); k p has an odd leg, so lies in the lattice set, iff k is odd.
+    """
+    roots = range(1, isqrt(c_max) + 1)
+    return {s * s for s in roots} | {2 * s * s for s in roots}
 
 
 def verify_chain(
-    c_max: int, oracle_ceiling: int = DEFAULT_ORACLE_CEILING
+    c_max: int, oracle_ceiling: int = DEFAULT_VERIFY_CEILING
 ) -> ChainReport:
     """Rebuild the four sets up to c_max by independent routes and compare.
 
-    P comes from the Berggren-tree oracle and P0 is its primitive part; E
-    comes from the extended enumeration and C from the lattice enumeration.
-    brute_force_triples builds the same P by an O(c_max^2) search and is
-    what the tests check the tree against at small bounds.  Any inclusion
-    failure, repeated stream record or cross-route disagreement lands in
-    the discrepancy list rather than raising; only bound errors raise.
+    Three routes are each walked once on plain ints: the Berggren tree
+    multiples (P, and P0 at k = 1), the Euclid stream (E) and the lattice
+    stream (C, and its rows with gcd(n, 2m - 1) = 1).  The tree also
+    predicts E from k alone (see _in_euclid).  Each set folds into a count
+    and, per c-band, a multiset hash: the sum of hash((a, b, c)) over its
+    canonically oriented triples, so memory stays flat.  Three pairs of
+    sets must have equal sums in every band: E and the tree's prediction of
+    it, C and E's odd-leg records (C is E minus its all-even triples), and
+    the primitive lattice rows and P0.  A dropped, repeated or extra record
+    changes its band's sum.  Only the bands where a pair differs are
+    rebuilt as sets, by _name_discrepancies, to name what differs.  Every
+    stream record passes _checked and every tree multiple _check_triple,
+    the tests their constructors make, so an invalid record raises; so do
+    bound errors.
     """
     _check_oracle_bound(c_max, oracle_ceiling, MIN_HYPOTENUSE)
-    p_set = berggren_triples(c_max, oracle_ceiling)
-    p0_set = {t for t in p_set if gcd(t.a, t.b, t.c) == 1}
-    c_pairs = list(lattice_enumerate_indexed(c_max))
-    c_set = {t for _, t in c_pairs}
-    # One pass over the Euclid stream.  It runs by c ascending, then a, so
-    # its first triple outside C is the (c, a)-smallest one.
-    e_set: set[Triple] = set()
-    e_count = 0
+    in_e = _in_euclid(c_max)
+    e_predicted, p0, e, e_odd, lat, lat_primitive = ([0] * _BANDS for _ in range(6))
+
+    count_p = count_p0 = 0
+    witness_p_not_e = least = None
+    for a, b, c, k in _tree_multiples(c_max):
+        _check_triple(a, b, c)
+        count_p += 1
+        if k in in_e:
+            i, h = (c - 1) * _BANDS // c_max, hash((a, b, c))
+            e_predicted[i] += h
+            if k == 1:
+                p0[i] += h
+                count_p0 += 1
+        elif k == 3 and (least is None or (c, a) < least):
+            # No k below 3 falls outside E, so some 3p is the least of P - E.
+            least, witness_p_not_e = (c, a), (a, b, c)
+
+    count_e = 0
     witness_e_not_c = None
-    for e_count, t in enumerate(extended_enumerate(c_max), 1):
-        canon = canonicalize(t)
-        e_set.add(canon)
-        if witness_e_not_c is None and canon not in c_set:
-            witness_e_not_c = t
+    for count_e, (c, a, b, _, _) in enumerate(_checked(_extended_records(c_max), "mu"), 1):
+        i = (c - 1) * _BANDS // c_max
+        if a % 2:
+            h = hash((a, b, c))
+            e_odd[i] += h
+        else:
+            h = hash((a, b, c) if a < b else (b, a, c))
+            if witness_e_not_c is None:
+                witness_e_not_c = (a, b, c)
+        e[i] += h
+
+    count_c = 0
+    witness_c_not_p0 = None
+    for count_c, (c, a, b, m, n) in enumerate(_checked(_lattice_records(c_max)), 1):
+        i, h = (c - 1) * _BANDS // c_max, hash((a, b, c))
+        lat[i] += h
+        if _is_primitive_at(m, n):
+            lat_primitive[i] += h
+        elif witness_c_not_p0 is None:
+            witness_c_not_p0 = (a, b, c)
+
+    pairs = ((e, e_predicted), (lat, e_odd), (lat_primitive, p0))
+    bad = {i for x, y in pairs for i in range(_BANDS) if x[i] != y[i]}
+    return ChainReport(
+        c_max=c_max,
+        count_P=count_p,
+        count_E=count_e,
+        count_C=count_c,
+        count_P0=count_p0,
+        witness_P_not_E=witness_p_not_e and Triple(*witness_p_not_e),
+        witness_E_not_C=witness_e_not_c and Triple(*witness_e_not_c),
+        witness_C_not_P0=witness_c_not_p0 and Triple(*witness_c_not_p0),
+        discrepancies=_name_discrepancies(c_max, bad, in_e) if bad else (),
+    )
+
+
+def _name_discrepancies(c_max: int, bands: set[int], in_e: set[int]) -> tuple[str, ...]:
+    """Walk the routes again, build sets over the given c-bands only, and
+    name what differs there, in the order and words of a whole-set compare.
+
+    A band whose sums agree holds no discrepancy of any kind below, so the
+    texts (counts, samples, the first repeat or mismatch in stream order)
+    are those a compare of the whole sets would give.  The last three
+    checks, against the tree's prediction of E and for repeated tree
+    multiples, name only triples no earlier check names.
+    """
+
+    def inside(c: int) -> bool:
+        return (c - 1) * _BANDS // c_max in bands
+
+    tree = [(Triple(a, b, c), k) for a, b, c, k in _tree_multiples(c_max) if inside(c)]
+    p_set = {t for t, _ in tree}
+    p0_set = {t for t, k in tree if k == 1}
+    e_predicted = {t for t, k in tree if k in in_e}
+    c_pairs = [
+        ((m, n), Triple(a, b, c)) for c, a, b, m, n in _lattice_records(c_max) if inside(c)
+    ]
+    c_set = {t for _, t in c_pairs}
+    e_records = [Triple(a, b, c) for c, a, b, _, _ in _extended_records(c_max) if inside(c)]
+    e_set = {canonicalize(t) for t in e_records}
 
     discrepancies: list[str] = []
+    named: set[Triple] = set()
 
     def leak(kind: str, extras, sample: Triple | None = None) -> None:
         if extras:
-            sample = sample or _smallest(extras)
+            sample = sample or min(extras, key=lambda t: (t.c, t.a))
             discrepancies.append(
                 f"{len(extras)} {kind}, e.g. ({sample.a}, {sample.b}, {sample.c})"
             )
+            named.update(map(canonicalize, extras))
 
-    def repeats(stream: str, count: int, distinct: int, records) -> None:
-        if count > distinct:  # walk the stream again for its first repeat
-            seen: set[Triple] = set()
-            rep = [t for t in records if (k := canonicalize(t)) in seen or seen.add(k)]
-            leak(f"duplicate records in the {stream} stream", rep, rep[0])
+    def repeats(stream: str, records) -> None:
+        seen: set[Triple] = set()
+        rep = [t for t in records if (k := canonicalize(t)) in seen or seen.add(k)]
+        leak(f"duplicate records in the {stream} stream", rep, rep and rep[0])
 
     leak("Euclid triples missing from the oracle set", e_set - p_set)
     leak("lattice triples missing from the Euclid set", c_set - e_set)
@@ -256,24 +360,18 @@ def verify_chain(
     not_all_even = {t for t in e_set if t.a % 2 or t.b % 2}
     leak("lattice triples outside Euclid-minus-all-even", c_set - not_all_even)
     leak("Euclid-minus-all-even triples missing from the lattice", not_all_even - c_set)
-    repeats("lattice", len(c_pairs), len(c_set), (t for _, t in c_pairs))
-    repeats("Euclid", e_count, len(e_set), extended_enumerate(c_max))
-    for idx, t in c_pairs:
-        if is_primitive_lattice(idx) != (t in p0_set):
+    repeats("lattice", (t for _, t in c_pairs))
+    repeats("Euclid", e_records)
+    for (m, n), t in c_pairs:
+        if _is_primitive_at(m, n) != (t in p0_set):
             discrepancies.append(
-                f"primitivity mismatch at (m={idx.m}, n={idx.n}): "
-                f"({t.a}, {t.b}, {t.c})"
+                f"primitivity mismatch at (m={m}, n={n}): ({t.a}, {t.b}, {t.c})"
             )
+            named.add(t)
             break
-
-    return ChainReport(
-        c_max=c_max,
-        count_P=len(p_set),
-        count_E=len(e_set),
-        count_C=len(c_set),
-        count_P0=len(p0_set),
-        witness_P_not_E=_smallest(p_set - e_set),
-        witness_E_not_C=witness_e_not_c,
-        witness_C_not_P0=_smallest(c_set - p0_set),
-        discrepancies=tuple(discrepancies),
-    )
+    # What the checks above left unnamed, such as a dropped all-even record.
+    leak("tree-predicted Euclid triples missing from the Euclid stream",
+         e_predicted - e_set - named)
+    leak("Euclid triples outside the tree's prediction", e_set - e_predicted - named)
+    repeats("tree", (t for t, _ in tree if t not in named))
+    return tuple(discrepancies)

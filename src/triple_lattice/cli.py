@@ -25,7 +25,7 @@ import sys
 from itertools import chain, islice
 from math import gcd
 
-from .classify import DEFAULT_ORACLE_CEILING, classify, verify_chain
+from .classify import DEFAULT_VERIFY_CEILING, classify, verify_chain
 from .core import (
     LatticeIndex,
     NotInClassC,
@@ -81,7 +81,8 @@ def _emit(rows, fields, fmt) -> None:
     # sys.stdout is looked up at each write, so a swapped stream is honoured.
     # The table format sizes its columns from the first TABLE_SIZING_ROWS
     # rows only, so memory never follows the stream's length; a later,
-    # longer cell widens its column from there on.
+    # longer cell widens its column from there on.  An error while those
+    # rows are read still prints the header and the rows read before it.
     null = "null" if fmt == "json-lines" else ""
     cells = (
         tuple([("true" if v else "false") if v is True or v is False else null if v is None else v
@@ -90,15 +91,13 @@ def _emit(rows, fields, fmt) -> None:
     )
     if fmt == "table":
         texts = (list(map(str, row)) for row in cells)
-        head = list(islice(texts, TABLE_SIZING_ROWS))
-        widths = [
-            max(len(name), *(len(row[i]) for row in head)) if head else len(name)
-            for i, name in enumerate(fields)
-        ]
-        print("  ".join(name.ljust(w) for name, w in zip(fields, widths)).rstrip())
-        for row in chain(head, texts):
-            widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        head: list[list[str]] = []
+        try:
+            head.extend(islice(texts, TABLE_SIZING_ROWS))
+        except (OverflowError, ValueError):
+            _write_table(head, (), fields)
+            raise
+        _write_table(head, texts, fields)
         return
     if fmt == "json-lines":
         template = "{" + ",".join(f'"{name}":%s' for name in fields) + "}\n"
@@ -107,6 +106,18 @@ def _emit(rows, fields, fmt) -> None:
         sys.stdout.write(",".join(fields) + "\n")
     for row in cells:
         sys.stdout.write(template % row)
+
+
+def _write_table(head, rest, fields) -> None:
+    # Print the header, head and then rest, with columns sized from head.
+    widths = [
+        max(len(name), *(len(row[i]) for row in head)) if head else len(name)
+        for i, name in enumerate(fields)
+    ]
+    print("  ".join(name.ljust(w) for name, w in zip(fields, widths)).rstrip())
+    for row in chain(head, rest):
+        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
 def _resolve_format(args: argparse.Namespace) -> str:
@@ -273,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check the chain against the oracle")
     p.add_argument("--c-max", type=_positive_int, required=True)
-    p.add_argument("--oracle-ceiling", type=_positive_int, default=DEFAULT_ORACLE_CEILING)
+    p.add_argument("--oracle-ceiling", type=_positive_int, default=DEFAULT_VERIFY_CEILING)
     _add_format(p)
     p.set_defaults(handler=cmd_verify)
 

@@ -9,8 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from triple_lattice.classify import (
+    DEFAULT_ORACLE_CEILING,
     BoundTooLarge,
+    ChainReport,
     _berggren_primitives,
+    _check_oracle_bound,
     berggren_triples,
     brute_force_triples,
     classify,
@@ -22,7 +25,13 @@ from triple_lattice.core import (
     LatticeIndex,
     Triple,
     canonicalize,
+    is_primitive_lattice,
     triple_from_lattice,
+)
+from triple_lattice.series import (
+    MIN_HYPOTENUSE,
+    extended_enumerate,
+    lattice_enumerate_indexed,
 )
 
 
@@ -189,11 +198,98 @@ def test_non_int_bound_is_a_type_error(oracle, c_max, type_name):
 # ---------------------------------------------------------------- verify_chain
 
 
+def _set_based_verify_chain(
+    c_max: int, oracle_ceiling: int = DEFAULT_ORACLE_CEILING
+) -> ChainReport:
+    """verify_chain as it was before its routes streamed: four whole sets
+    of Triples, diffed.  Kept as the reference the streamed one must equal.
+    """
+    _check_oracle_bound(c_max, oracle_ceiling, MIN_HYPOTENUSE)
+    p_set = berggren_triples(c_max, oracle_ceiling)
+    p0_set = {t for t in p_set if gcd(t.a, t.b, t.c) == 1}
+    c_pairs = list(lattice_enumerate_indexed(c_max))
+    c_set = {t for _, t in c_pairs}
+    e_set: set[Triple] = set()
+    e_count = 0
+    witness_e_not_c = None
+    for e_count, t in enumerate(extended_enumerate(c_max), 1):
+        canon = canonicalize(t)
+        e_set.add(canon)
+        if witness_e_not_c is None and canon not in c_set:
+            witness_e_not_c = t
+
+    def smallest(triples):
+        return min(triples, key=lambda t: (t.c, t.a), default=None)
+
+    discrepancies: list[str] = []
+
+    def leak(kind, extras, sample=None):
+        if extras:
+            sample = sample or smallest(extras)
+            discrepancies.append(
+                f"{len(extras)} {kind}, e.g. ({sample.a}, {sample.b}, {sample.c})"
+            )
+
+    def repeats(stream, count, distinct, records):
+        if count > distinct:
+            seen: set[Triple] = set()
+            rep = [t for t in records if (k := canonicalize(t)) in seen or seen.add(k)]
+            leak(f"duplicate records in the {stream} stream", rep, rep[0])
+
+    leak("Euclid triples missing from the oracle set", e_set - p_set)
+    leak("lattice triples missing from the Euclid set", c_set - e_set)
+    leak("primitive triples missing from the lattice set", p0_set - c_set)
+    not_all_even = {t for t in e_set if t.a % 2 or t.b % 2}
+    leak("lattice triples outside Euclid-minus-all-even", c_set - not_all_even)
+    leak("Euclid-minus-all-even triples missing from the lattice", not_all_even - c_set)
+    repeats("lattice", len(c_pairs), len(c_set), (t for _, t in c_pairs))
+    repeats("Euclid", e_count, len(e_set), extended_enumerate(c_max))
+    for idx, t in c_pairs:
+        if is_primitive_lattice(idx) != (t in p0_set):
+            discrepancies.append(
+                f"primitivity mismatch at (m={idx.m}, n={idx.n}): "
+                f"({t.a}, {t.b}, {t.c})"
+            )
+            break
+
+    return ChainReport(
+        c_max=c_max,
+        count_P=len(p_set),
+        count_E=len(e_set),
+        count_C=len(c_set),
+        count_P0=len(p0_set),
+        witness_P_not_E=smallest(p_set - e_set),
+        witness_E_not_C=witness_e_not_c,
+        witness_C_not_P0=smallest(c_set - p0_set),
+        discrepancies=tuple(discrepancies),
+    )
+
+
+def test_verify_chain_equals_the_set_based_reference():
+    for c_max in [*range(5, 400), 1000, 2500, 10_000]:
+        assert verify_chain(c_max) == _set_based_verify_chain(c_max), c_max
+
+
+def test_verify_chain_counts_at_1e5():
+    report = verify_chain(10**5)
+    assert report.ok
+    assert (report.count_P, report.count_E, report.count_C, report.count_P0) == (
+        161_436,
+        39_005,
+        19_559,
+        15_919,
+    )
+
+
+def _brute_force_multiples(c_max):
+    return ((t.a, t.b, t.c, gcd(t.a, t.b, t.c)) for t in brute_force_triples(c_max))
+
+
 @pytest.mark.parametrize("c_max", [5, 50, 500, 2500])
 def test_verify_chain_same_report_with_brute_force_route(c_max, monkeypatch):
     tree_report = verify_chain(c_max)
     module = importlib.import_module("triple_lattice.classify")
-    monkeypatch.setattr(module, "berggren_triples", brute_force_triples)
+    monkeypatch.setattr(module, "_tree_multiples", _brute_force_multiples)
     assert verify_chain(c_max) == tree_report
 
 
@@ -239,7 +335,8 @@ def test_verify_chain_bound_errors():
         verify_chain(100, oracle_ceiling=50)
 
 
-# Fault injectors: each wraps a name verify_chain calls in classify.
+# Fault injectors: each wraps a record source verify_chain calls in classify.
+# Stream records are (c, a, b, i, j); tree multiples are (a, b, c, k).
 
 
 def _drop_11th(stream):
@@ -255,8 +352,8 @@ def _repeat_11th(stream):
 def _both_leg_orders_of_11th(stream):
     return lambda c_max: (
         r
-        for i, t in enumerate(stream(c_max))
-        for r in ((t, Triple(t.b, t.a, t.c)) if i == 10 else (t,))
+        for i, (c, a, b, mu, n) in enumerate(stream(c_max))
+        for r in (((c, a, b, mu, n), (c, b, a, mu, n)) if i == 10 else ((c, a, b, mu, n),))
     )
 
 
@@ -267,7 +364,7 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
     "faults,expected",
     [
         (
-            [("lattice_enumerate_indexed", _drop_11th)],
+            [("_lattice_records", _drop_11th)],
             (
                 "1 primitive triples missing from the lattice set, e.g. (33, 56, 65)",
                 "1 Euclid-minus-all-even triples missing from the lattice, "
@@ -275,7 +372,12 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
             ),
         ),
         (
-            [("berggren_triples", lambda f: lambda *a: f(*a) - {Triple(3, 4, 5)})],
+            [
+                (
+                    "_tree_multiples",
+                    lambda f: lambda c_max: (r for r in f(c_max) if r != (3, 4, 5, 1)),
+                )
+            ],
             (
                 "1 Euclid triples missing from the oracle set, e.g. (3, 4, 5)",
                 "primitivity mismatch at (m=1, n=1): (3, 4, 5)",
@@ -284,10 +386,8 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
         (
             [
                 (
-                    "lattice_enumerate_indexed",
-                    lambda f: lambda c_max: chain(
-                        [(LatticeIndex(1, 1), Triple(9, 12, 15))], f(c_max)
-                    ),
+                    "_lattice_records",
+                    lambda f: lambda c_max: chain([(15, 9, 12, 1, 1)], f(c_max)),
                 )
             ],
             (
@@ -299,26 +399,58 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
         (
             [
                 (
-                    "is_primitive_lattice",
-                    lambda f: lambda idx: f(idx) != (idx == LatticeIndex(2, 3)),
+                    "_is_primitive_at",
+                    lambda f: lambda m, n: f(m, n) != ((m, n) == (2, 3)),
                 )
             ],
             ("primitivity mismatch at (m=2, n=3): (27, 36, 45)",),
         ),
-        ([("lattice_enumerate_indexed", _repeat_11th)], (_LATTICE_DUPLICATE,)),
+        ([("_lattice_records", _repeat_11th)], (_LATTICE_DUPLICATE,)),
         (
-            [("extended_enumerate", _repeat_11th)],
+            [("_extended_records", _repeat_11th)],
             ("1 duplicate records in the Euclid stream, e.g. (32, 24, 40)",),
         ),
         (
             [
-                ("extended_enumerate", _both_leg_orders_of_11th),
-                ("lattice_enumerate_indexed", _repeat_11th),
+                ("_extended_records", _both_leg_orders_of_11th),
+                ("_lattice_records", _repeat_11th),
             ],
             (
                 _LATTICE_DUPLICATE,
                 "1 duplicate records in the Euclid stream, e.g. (24, 32, 40)",
             ),
+        ),
+        (
+            [
+                (
+                    "_extended_records",
+                    lambda f: lambda c_max: (r for r in f(c_max) if r[:3] != (40, 32, 24)),
+                )
+            ],
+            (
+                "1 tree-predicted Euclid triples missing from the Euclid stream, "
+                "e.g. (24, 32, 40)",
+            ),
+        ),
+        (
+            [
+                (
+                    "_extended_records",
+                    lambda f: lambda c_max: chain([(30, 18, 24, 1, 1)], f(c_max)),
+                )
+            ],
+            ("1 Euclid triples outside the tree's prediction, e.g. (18, 24, 30)",),
+        ),
+        (
+            [
+                (
+                    "_tree_multiples",
+                    lambda f: lambda c_max: (
+                        r for r in f(c_max) for _ in range(1 + (r == (12, 16, 20, 4)))
+                    ),
+                )
+            ],
+            ("1 duplicate records in the tree stream, e.g. (12, 16, 20)",),
         ),
     ],
     ids=[
@@ -329,6 +461,9 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
         "lattice-repeat",
         "euclid-repeat",
         "both-repeat-euclid-in-both-leg-orders",
+        "euclid-drop-all-even",
+        "euclid-extra-outside-e",
+        "tree-repeat",
     ],
 )
 def test_verify_chain_reports_each_injected_fault(
@@ -342,3 +477,27 @@ def test_verify_chain_reports_each_injected_fault(
     assert capsys.readouterr().err.splitlines() == [
         f"discrepancy: {text}" for text in expected
     ]
+
+
+@pytest.mark.parametrize(
+    "name,corrupt,message",
+    [
+        # k = 5 lies outside E, so only the record's own check can see it.
+        ("_tree_multiples", lambda a, b, c, k: (a, b, c + (k == 5), k),
+         "not a Pythagorean triple: 15^2 + 20^2 != 26^2"),
+        ("_lattice_records", lambda c, a, b, m, n: (c + 2 * (c == 65), a, b, m, n),
+         "not a Pythagorean triple: 33^2 + 56^2 != 67^2"),
+        # An index is hashed nowhere, so only its check can see it.
+        ("_lattice_records", lambda c, a, b, m, n: (c, a, b, m * (c != 65), n),
+         "m must be >= 1, got 0"),
+        ("_extended_records", lambda c, a, b, mu, n: (c, a, b, mu, n * (c != 40)),
+         "n must be >= 1, got 0"),
+    ],
+)
+def test_verify_chain_checks_every_record(name, corrupt, message, monkeypatch):
+    module = importlib.import_module("triple_lattice.classify")
+    source = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda c_max: (corrupt(*r) for r in source(c_max)))
+    with pytest.raises(ValueError) as info:
+        verify_chain(500)
+    assert str(info.value) == message

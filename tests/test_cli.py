@@ -312,6 +312,12 @@ def test_verify_bound_above_ceiling(run):
     assert "ceiling" in err
 
 
+def test_verify_runs_past_the_oracle_ceiling(run):
+    code, out, err = run("verify", "--c-max", "10001")
+    assert (code, err) == (0, "")
+    assert lines(out)[0]["counts"] == {"P": 12_475, "E": 3_844, "C": 1_941, "P0": 1_595}
+
+
 # ---------------------------------------------------------------------- family
 
 
@@ -512,11 +518,14 @@ CORRUPTED_RECORDS = [
 def test_every_streamed_record_is_checked(run, monkeypatch, form, point, argv, before, err):
     clean = {fmt: run(*argv, "--format", fmt)[1].splitlines() for fmt in cli.FORMATS}
     corrupt_form(monkeypatch, form, point)
-    # csv prints its header first; table holds its sizing rows, so prints none.
-    for fmt, printed in (("json-lines", before), ("csv", before + 1), ("table", 0)):
+    # csv and table print a header first; table sizes its columns from the
+    # rows read before the error, so only its cells match the clean run's.
+    for fmt, printed in (("json-lines", before), ("csv", before + 1), ("table", before + 1)):
         code, out, error = run(*argv, "--format", fmt)
         assert (code, error) == (2, err)
-        assert out.splitlines() == clean[fmt][:printed]
+        assert [line.split() for line in out.splitlines()] == [
+            line.split() for line in clean[fmt][:printed]
+        ]
 
 
 @pytest.mark.parametrize(

@@ -153,3 +153,14 @@ def test_table_format_streams_instead_of_buffering():
     assert head[1].split() == ["1", "1", "3", "4", "5", "true"]
     assert proc.returncode == 0
     assert "Traceback" not in err
+
+
+def test_verify_memory_stays_flat_at_its_ceiling():
+    proc = _child(
+        "-m", "triple_lattice.cli", "verify", "--c-max", str(10**6),
+        "--oracle-ceiling", str(10**6), limit=400 * 2**20,
+    )
+    out, err = proc.communicate(timeout=TIMEOUT_S)
+    assert proc.returncode == 0, err
+    assert "Traceback" not in err
+    assert json.loads(out)["counts"] == {"P": 1_980_642, "E": 391_840, "C": 196_093, "P0": 159_139}
