@@ -52,13 +52,19 @@ __all__ = [
 DEFAULT_ORACLE_CEILING = 10_000
 
 #: Largest hypotenuse bound verify_chain accepts by default.  Its memory is
-#: flat, so the bound is set by time: about 2.5 s at 10^6.
+#: flat, so the bound only limits its run time, which grows with the bound.
 DEFAULT_VERIFY_CEILING = 1_000_000
 
 #: verify_chain hashes each set per band of this many equal slices of
-#: (0, c_max] (c lies in band (c - 1) * _BANDS // c_max), and builds sets
-#: only over the bands that disagree.
+#: (0, c_max] (c lies in band (c - 1) * _BANDS // c_max), plus an overflow
+#: band _BANDS for any record past c_max, and builds sets only over the
+#: bands that disagree.
 _BANDS = 64
+
+#: Most records, summed over the three routes, whose bands verify_chain
+#: rebuilds as sets to name discrepancies; any further bad bands are only
+#: counted.  Every band fits up to c_max = 10^5.
+_NAMING_BUDGET = 250_000
 
 
 class BoundTooLarge(ValueError):
@@ -237,9 +243,10 @@ def _in_euclid(c_max: int) -> set[int]:
 def verify_chain(
     c_max: int, oracle_ceiling: int = DEFAULT_VERIFY_CEILING
 ) -> ChainReport:
-    """Rebuild the four sets up to c_max by independent routes and compare.
+    """Check the chain up to c_max by three independent routes, compared
+    through per-band multiset hashes.
 
-    Three routes are each walked once on plain ints: the Berggren tree
+    The routes are each walked once on plain ints: the Berggren tree
     multiples (P, and P0 at k = 1), the Euclid stream (E) and the lattice
     stream (C, and its rows with gcd(n, 2m - 1) = 1).  The tree also
     predicts E from k alone (see _in_euclid).  Each set folds into a count
@@ -248,15 +255,18 @@ def verify_chain(
     sets must have equal sums in every band: E and the tree's prediction of
     it, C and E's odd-leg records (C is E minus its all-even triples), and
     the primitive lattice rows and P0.  A dropped, repeated or extra record
-    changes its band's sum.  Only the bands where a pair differs are
-    rebuilt as sets, by _name_discrepancies, to name what differs.  Every
-    stream record passes _checked and every tree multiple _check_triple,
-    the tests their constructors make, so an invalid record raises; so do
-    bound errors.
+    changes its band's sum; a record past c_max lands in the overflow band.
+    Only the bands where a pair differs are rebuilt as sets, by
+    _name_discrepancies, to name what differs, and only the lowest of them
+    that fit _NAMING_BUDGET records, so a fault in every band still runs in
+    bounded memory; one more text counts the bands left unnamed, or every
+    bad band when none of them yields a text.  Every stream record passes
+    _checked and every tree multiple _check_triple, the tests their
+    constructors make, so an invalid record raises; so do bound errors.
     """
     _check_oracle_bound(c_max, oracle_ceiling, MIN_HYPOTENUSE)
     in_e = _in_euclid(c_max)
-    e_predicted, p0, e, e_odd, lat, lat_primitive = ([0] * _BANDS for _ in range(6))
+    e_predicted, p0, e, e_odd, lat, lat_primitive = ([0] * (_BANDS + 1) for _ in range(6))
 
     count_p = count_p0 = 0
     witness_p_not_e = least = None
@@ -264,7 +274,8 @@ def verify_chain(
         _check_triple(a, b, c)
         count_p += 1
         if k in in_e:
-            i, h = (c - 1) * _BANDS // c_max, hash((a, b, c))
+            i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
+            h = hash((a, b, c))
             e_predicted[i] += h
             if k == 1:
                 p0[i] += h
@@ -276,7 +287,7 @@ def verify_chain(
     count_e = 0
     witness_e_not_c = None
     for count_e, (c, a, b, _, _) in enumerate(_checked(_extended_records(c_max), "mu"), 1):
-        i = (c - 1) * _BANDS // c_max
+        i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
         if a % 2:
             h = hash((a, b, c))
             e_odd[i] += h
@@ -289,7 +300,8 @@ def verify_chain(
     count_c = 0
     witness_c_not_p0 = None
     for count_c, (c, a, b, m, n) in enumerate(_checked(_lattice_records(c_max)), 1):
-        i, h = (c - 1) * _BANDS // c_max, hash((a, b, c))
+        i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
+        h = hash((a, b, c))
         lat[i] += h
         if _is_primitive_at(m, n):
             lat_primitive[i] += h
@@ -297,7 +309,19 @@ def verify_chain(
             witness_c_not_p0 = (a, b, c)
 
     pairs = ((e, e_predicted), (lat, e_odd), (lat_primitive, p0))
-    bad = {i for x, y in pairs for i in range(_BANDS) if x[i] != y[i]}
+    bad = sorted({i for x, y in pairs for i in range(_BANDS + 1) if x[i] != y[i]})
+    texts: tuple[str, ...] = ()
+    if bad:
+        # A band holds about 1/_BANDS of each route's records.
+        named = max(1, _NAMING_BUDGET * _BANDS // (count_p + count_e + count_c + 1))
+        texts = _name_discrepancies(c_max, set(bad[:named]), in_e)
+        rest = bad[named:] if texts else bad
+        if rest:
+            start = -(-rest[0] * c_max // _BANDS) + 1
+            texts += (
+                f"{len(rest)} c-bands with differing hashes left unnamed, "
+                f"the first starting at c = {start}",
+            )
     return ChainReport(
         c_max=c_max,
         count_P=count_p,
@@ -307,7 +331,7 @@ def verify_chain(
         witness_P_not_E=witness_p_not_e and Triple(*witness_p_not_e),
         witness_E_not_C=witness_e_not_c and Triple(*witness_e_not_c),
         witness_C_not_P0=witness_c_not_p0 and Triple(*witness_c_not_p0),
-        discrepancies=_name_discrepancies(c_max, bad, in_e) if bad else (),
+        discrepancies=texts,
     )
 
 
@@ -323,7 +347,7 @@ def _name_discrepancies(c_max: int, bands: set[int], in_e: set[int]) -> tuple[st
     """
 
     def inside(c: int) -> bool:
-        return (c - 1) * _BANDS // c_max in bands
+        return ((c - 1) * _BANDS // c_max if c <= c_max else _BANDS) in bands
 
     tree = [(Triple(a, b, c), k) for a, b, c, k in _tree_multiples(c_max) if inside(c)]
     p_set = {t for t, _ in tree}

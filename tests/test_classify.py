@@ -452,6 +452,35 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
             ],
             ("1 duplicate records in the tree stream, e.g. (12, 16, 20)",),
         ),
+        (
+            [
+                (
+                    "_lattice_records",
+                    lambda f: lambda c_max: chain(
+                        f(c_max), [(505, 217, 456, 4, 12), (1013, 45, 1012, 1, 22)]
+                    ),
+                )
+            ],
+            (
+                "2 lattice triples missing from the Euclid set, e.g. (217, 456, 505)",
+                "2 lattice triples outside Euclid-minus-all-even, e.g. (217, 456, 505)",
+                "primitivity mismatch at (m=4, n=12): (217, 456, 505)",
+            ),
+        ),
+        (
+            # The odd leg second hides the record from C's compare, and no
+            # set check sees an orientation.
+            [
+                (
+                    "_extended_records",
+                    lambda f: lambda c_max: (
+                        (c, b, a, mu, n) if (c, a) == (65, 33) else (c, a, b, mu, n)
+                        for c, a, b, mu, n in f(c_max)
+                    ),
+                )
+            ],
+            ("1 c-bands with differing hashes left unnamed, the first starting at c = 64",),
+        ),
     ],
     ids=[
         "lattice-drop",
@@ -464,6 +493,8 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
         "euclid-drop-all-even",
         "euclid-extra-outside-e",
         "tree-repeat",
+        "lattice-past-bound",
+        "euclid-odd-leg-second",
     ],
 )
 def test_verify_chain_reports_each_injected_fault(
@@ -477,6 +508,18 @@ def test_verify_chain_reports_each_injected_fault(
     assert capsys.readouterr().err.splitlines() == [
         f"discrepancy: {text}" for text in expected
     ]
+
+
+def test_verify_chain_names_only_the_bands_its_budget_allows(monkeypatch):
+    # The Euclid repeat sits in a lower band than the lattice repeat.
+    module = importlib.import_module("triple_lattice.classify")
+    for name in ("_extended_records", "_lattice_records"):
+        monkeypatch.setattr(module, name, _repeat_11th(getattr(module, name)))
+    monkeypatch.setattr(module, "_NAMING_BUDGET", 1)
+    assert verify_chain(500).discrepancies == (
+        "1 duplicate records in the Euclid stream, e.g. (32, 24, 40)",
+        "1 c-bands with differing hashes left unnamed, the first starting at c = 64",
+    )
 
 
 @pytest.mark.parametrize(

@@ -164,3 +164,23 @@ def test_verify_memory_stays_flat_at_its_ceiling():
     assert proc.returncode == 0, err
     assert "Traceback" not in err
     assert json.loads(out)["counts"] == {"P": 1_980_642, "E": 391_840, "C": 196_093, "P0": 159_139}
+
+
+def test_verify_names_a_fault_in_every_band_within_the_same_limit():
+    # A flipped primitivity test makes every c-band disagree.
+    script = (
+        "import importlib, sys\n"
+        "classify = importlib.import_module('triple_lattice.classify')\n"
+        "from triple_lattice.cli import main\n"
+        "flip = classify._is_primitive_at\n"
+        "classify._is_primitive_at = lambda m, n: not flip(m, n)\n"
+        "sys.exit(main(['verify', '--c-max', '1000000', '--oracle-ceiling', '1000000']))\n"
+    )
+    proc = _child("-c", script, limit=400 * 2**20)
+    out, err = proc.communicate(timeout=TIMEOUT_S)
+    assert proc.returncode == 5, err
+    assert err.splitlines() == [
+        "discrepancy: primitivity mismatch at (m=1, n=1): (3, 4, 5)",
+        "discrepancy: 58 c-bands with differing hashes left unnamed, "
+        "the first starting at c = 93751",
+    ]
