@@ -26,6 +26,7 @@ from .core import (
     EuclidParams,
     LatticeIndex,
     Triple,
+    _check_index,
     _check_triple,
     _is_primitive_at,
     _require_positive_int,
@@ -33,7 +34,7 @@ from .core import (
     euclid_params_from_triple,
     lattice_from_triple,
 )
-from .series import MIN_HYPOTENUSE, _checked, _extended_records, _lattice_records
+from .series import MIN_HYPOTENUSE, _extended_records, _lattice_records
 
 __all__ = [
     "DEFAULT_ORACLE_CEILING",
@@ -260,9 +261,13 @@ def verify_chain(
     _name_discrepancies, to name what differs, and only the lowest of them
     that fit _NAMING_BUDGET records, so a fault in every band still runs in
     bounded memory; one more text counts the bands left unnamed, or every
-    bad band when none of them yields a text.  Every stream record passes
-    _checked and every tree multiple _check_triple, the tests their
-    constructors make, so an invalid record raises; so do bound errors.
+    bad band when none of them yields a text.  P is also counted by a
+    second route: each primitive lattice row at c has c_max // c multiples
+    up to c_max, so when every hash agrees their sum must equal the tree's
+    count; if it does not, and no other text was produced, one text says
+    so.  Every stream record passes _check_index and then _check_triple,
+    and every tree multiple _check_triple, the tests their constructors
+    make, so an invalid record raises; so do bound errors.
     """
     _check_oracle_bound(c_max, oracle_ceiling, MIN_HYPOTENUSE)
     in_e = _in_euclid(c_max)
@@ -286,7 +291,9 @@ def verify_chain(
 
     count_e = 0
     witness_e_not_c = None
-    for count_e, (c, a, b, _, _) in enumerate(_checked(_extended_records(c_max), "mu"), 1):
+    for count_e, (c, a, b, mu, n) in enumerate(_extended_records(c_max), 1):
+        _check_index("mu", mu, n)
+        _check_triple(a, b, c)
         i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
         if a % 2:
             h = hash((a, b, c))
@@ -297,14 +304,17 @@ def verify_chain(
                 witness_e_not_c = (a, b, c)
         e[i] += h
 
-    count_c = 0
+    count_c = multiples = 0
     witness_c_not_p0 = None
-    for count_c, (c, a, b, m, n) in enumerate(_checked(_lattice_records(c_max)), 1):
+    for count_c, (c, a, b, m, n) in enumerate(_lattice_records(c_max), 1):
+        _check_index("m", m, n)
+        _check_triple(a, b, c)
         i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
         h = hash((a, b, c))
         lat[i] += h
         if _is_primitive_at(m, n):
             lat_primitive[i] += h
+            multiples += c_max // c
         elif witness_c_not_p0 is None:
             witness_c_not_p0 = (a, b, c)
 
@@ -322,6 +332,11 @@ def verify_chain(
                 f"{len(rest)} c-bands with differing hashes left unnamed, "
                 f"the first starting at c = {start}",
             )
+    if not texts and multiples != count_p:
+        texts = (
+            f"{count_p} tree multiples, but the primitive lattice rows have "
+            f"{multiples} multiples up to c = {c_max}",
+        )
     return ChainReport(
         c_max=c_max,
         count_P=count_p,

@@ -3,11 +3,14 @@
 Subcommands: gen, inv, enum, series, classify, verify, family.  Every
 command names its fields once and hands rows of values to _emit, the one
 writer of stdout, as json-lines (default), csv or table; json-lines and csv
-are byte-stable, table is for humans.  json-lines and csv fill one
-%-template per call with each row's cells.  enum, series and family take
-their rows straight from the plain (c, a, b, i, j) records of the series
-walks: each record passes every test that Triple and its index type make on
-construction, but neither object is built.  verify writes one json-lines
+are byte-stable, table is for humans.  Rows reach _emit as ints and text,
+which it prints as they are: json-lines and csv fill one %-template per
+call with each row's cells.  enum, series and family take their rows
+straight from the plain (c, a, b, i, j) records of the series walks through
+one generator each, which checks each record with every test that Triple
+and its index type make on construction, builds neither object, and puts
+the primitive flag in as "true"/"false".  The single-row commands turn
+their bools and Nones into text through _cells.  verify writes one json-lines
 record (c_max, counts, witnesses, discrepancies), or in csv and table one
 row per set (set, count, witness_a, witness_b, witness_c) and a last row
 counting the discrepancies, each of which also goes to stderr as
@@ -30,13 +33,14 @@ from .core import (
     LatticeIndex,
     NotInClassC,
     Triple,
+    _check_index,
+    _check_triple,
     _is_primitive_at,
     is_primitive_lattice,
     lattice_from_triple,
     triple_from_lattice,
 )
 from .series import (
-    _checked,
     _even_records,
     _extended_records,
     _lattice_records,
@@ -71,26 +75,32 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(rows, fields, fmt) -> None:
-    # The one writer of stdout.  Each row is a tuple of values in fields
-    # order, and rows may be a lazy stream.  A cell is "true"/"false" for a
-    # bool, "null" in json-lines and empty otherwise for None, and str of
-    # any other value; a json-lines row holds no str but JSON text that a
-    # caller encoded itself.  json-lines and csv fill one %-template per
-    # call and write each record as one write of its line and newline;
-    # sys.stdout is looked up at each write, so a swapped stream is honoured.
-    # The table format sizes its columns from the first TABLE_SIZING_ROWS
-    # rows only, so memory never follows the stream's length; a later,
-    # longer cell widens its column from there on.  An error while those
-    # rows are read still prints the header and the rows read before it.
+def _cells(row, fmt) -> tuple:
+    # A single row's values as _emit's cells: "true"/"false" for a bool,
+    # "null" in json-lines and empty otherwise for None, any other value as
+    # it is.
     null = "null" if fmt == "json-lines" else ""
-    cells = (
-        tuple([("true" if v else "false") if v is True or v is False else null if v is None else v
-               for v in row])
-        for row in rows
+    return tuple(
+        ("true" if v else "false") if v is True or v is False else null if v is None else v
+        for v in row
     )
+
+
+def _emit(rows, fields, fmt) -> None:
+    # The one writer of stdout.  Each row is a tuple of cells in fields
+    # order, and rows may be a lazy stream.  A cell is an int or text that
+    # is printed as it is: streamed rows carry "true"/"false" already, and
+    # the single-row commands pass their values through _cells; a json-lines
+    # row holds no str but JSON text that a caller encoded itself.
+    # json-lines and csv fill one %-template per call and write each record
+    # as one write of its line and newline; sys.stdout is looked up at each
+    # write, so a swapped stream is honoured.  The table format sizes its
+    # columns from the first TABLE_SIZING_ROWS rows only, so memory never
+    # follows the stream's length; a later, longer cell widens its column
+    # from there on.  An error while those rows are read still prints the
+    # header and the rows read before it.
     if fmt == "table":
-        texts = (list(map(str, row)) for row in cells)
+        texts = (list(map(str, row)) for row in rows)
         head: list[list[str]] = []
         try:
             head.extend(islice(texts, TABLE_SIZING_ROWS))
@@ -104,7 +114,7 @@ def _emit(rows, fields, fmt) -> None:
     else:
         template = ",".join(["%s"] * len(fields)) + "\n"
         sys.stdout.write(",".join(fields) + "\n")
-    for row in cells:
+    for row in rows:
         sys.stdout.write(template % row)
 
 
@@ -131,7 +141,7 @@ def cmd_gen(args: argparse.Namespace, fmt: str) -> int:
     idx = LatticeIndex(args.m, args.n)
     t = triple_from_lattice(idx)
     row = (idx.m, idx.n, t.a, t.b, t.c, is_primitive_lattice(idx), t.c - t.b, t.c - t.a)
-    _emit([row], LATTICE_FIELDS + ("d", "e"), fmt)
+    _emit([_cells(row, fmt)], LATTICE_FIELDS + ("d", "e"), fmt)
     return EXIT_OK
 
 
@@ -147,7 +157,18 @@ def cmd_inv(args: argparse.Namespace, fmt: str) -> int:
 
 def _lattice_rows(records):
     # Lattice rows straight from (c, a, b, m, n) records, each checked first.
-    return ((m, n, a, b, c, _is_primitive_at(m, n)) for c, a, b, m, n in _checked(records))
+    for c, a, b, m, n in records:
+        _check_index("m", m, n)
+        _check_triple(a, b, c)
+        yield m, n, a, b, c, "true" if _is_primitive_at(m, n) else "false"
+
+
+def _extended_rows(records):
+    # Extended rows straight from (c, a, b, mu, n) records, each checked first.
+    for c, a, b, mu, n in records:
+        _check_index("mu", mu, n)
+        _check_triple(a, b, c)
+        yield mu, n, a, b, c, "true" if gcd(a, b, c) == 1 else "false"
 
 
 def cmd_enum(args: argparse.Namespace, fmt: str) -> int:
@@ -155,10 +176,7 @@ def cmd_enum(args: argparse.Namespace, fmt: str) -> int:
         rows = _lattice_rows(_lattice_records(args.c_max))
         fields = LATTICE_FIELDS
     else:
-        rows = (
-            (mu, n, a, b, c, gcd(a, b, c) == 1)
-            for c, a, b, mu, n in _checked(_extended_records(args.c_max), "mu")
-        )
+        rows = _extended_rows(_extended_records(args.c_max))
         fields = ("mu", "n", "a", "b", "c", "primitive")
     _emit(rows, fields, fmt)
     return EXIT_OK
@@ -190,7 +208,7 @@ def cmd_classify(args: argparse.Namespace, fmt: str) -> int:
         report.scale,
     )
     _emit(
-        [row],
+        [_cells(row, fmt)],
         ("a", "b", "c", "in_P", "in_E", "in_C", "in_P0", "m", "n", "u", "v", "scale"),
         fmt,
     )
@@ -221,10 +239,10 @@ def cmd_verify(args: argparse.Namespace, fmt: str) -> int:
         # A set's row carries the witness that lies in it but not in the
         # next set down the chain; P0, the last, has none.
         rows = [
-            (name, n, *(w or (None, None, None)))
+            _cells((name, n, *(w or (None, None, None))), fmt)
             for (name, n), w in zip(counts.items(), [*witnesses.values(), None])
         ]
-        rows.append(("discrepancies", len(report.discrepancies), None, None, None))
+        rows.append(_cells(("discrepancies", len(report.discrepancies), None, None, None), fmt))
         fields = ("set", "count", "witness_a", "witness_b", "witness_c")
     _emit(rows, fields, fmt)
     for item in report.discrepancies:

@@ -3,9 +3,10 @@
 Every stream walks a line of the index lattice on which c rises (a
 column, a row, the diagonal) or merges all columns, carrying plain
 (c, a, b, i, j) tuples; Triple and index objects are built only at the
-public edge.  The CLI takes the same records through _checked instead,
-which runs the constructors' tests on each without building the objects.
-Streams are single-consumer iterators; merged slices come out c
+public edge.  The CLI's row generators and verify_chain take the same
+records and run the constructors' tests, core._check_index and then
+core._check_triple, on each in their own loops, without building the
+objects.  Streams are single-consumer iterators; merged slices come out c
 ascending, then a.  Each stream checks c_max <= U64_MAX once, at call
 time, which bounds every component it can yield.
 """
@@ -21,8 +22,6 @@ from .core import (
     ExtendedIndex,
     LatticeIndex,
     Triple,
-    _check_index,
-    _check_triple,
     _extended_abc,
     _lattice_abc,
     _require_positive_int,
@@ -95,19 +94,6 @@ def _merge(form: _Form, c_max: int) -> Iterator[_Record]:
             heapq.heappop(heap)
         if j == 1:
             push(i + 1, 1)
-
-
-def _checked(records: Iterator[_Record], name: str = "m") -> Iterator[_Record]:
-    """Pass each (c, a, b, i, j) on once it passes every test its index
-    (first field called name) and its Triple would make on construction.
-
-    The CLI streams these records without building either object.
-    """
-    for record in records:
-        c, a, b, i, j = record
-        _check_index(name, i, j)
-        _check_triple(a, b, c)
-        yield record
 
 
 def _triples(records: Iterator[_Record]) -> Iterator[Triple]:

@@ -481,6 +481,34 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
             ],
             ("1 c-bands with differing hashes left unnamed, the first starting at c = 64",),
         ),
+        (
+            # k = 11 lies outside E, so no hash sees the tree multiple; only
+            # the count of P by the primitive lattice rows' multiples does.
+            [
+                (
+                    "_tree_multiples",
+                    lambda f: lambda c_max: (r for r in f(c_max) if r != (33, 44, 55, 11)),
+                )
+            ],
+            (
+                "385 tree multiples, but the primitive lattice rows have 386 "
+                "multiples up to c = 500",
+            ),
+        ),
+        (
+            [
+                (
+                    "_tree_multiples",
+                    lambda f: lambda c_max: (
+                        r for r in f(c_max) for _ in range(1 + (r == (33, 44, 55, 11)))
+                    ),
+                )
+            ],
+            (
+                "387 tree multiples, but the primitive lattice rows have 386 "
+                "multiples up to c = 500",
+            ),
+        ),
     ],
     ids=[
         "lattice-drop",
@@ -495,6 +523,8 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
         "tree-repeat",
         "lattice-past-bound",
         "euclid-odd-leg-second",
+        "tree-drop-outside-e",
+        "tree-repeat-outside-e",
     ],
 )
 def test_verify_chain_reports_each_injected_fault(

@@ -383,7 +383,8 @@ def test_json_and_csv_output_is_deterministic(run):
         assert first[1]
 
 
-# sha256 of the stdout bytes, recorded when the record path was first pinned.
+# sha256 of the stdout bytes, recorded when the record path was first pinned;
+# the table digests were recorded before streamed rows carried their own text.
 @pytest.mark.parametrize(
     "argv,digest",
     [
@@ -410,6 +411,22 @@ def test_json_and_csv_output_is_deterministic(run):
         (
             ("family", "platonic", "--count", "40", "--format", "csv"),
             "20d3bb4fd6e26226672caa46cb192750d3516ae65cd54b3de98f04367c92a720",
+        ),
+        (
+            ("enum", "--c-max", "2000", "--format", "table"),
+            "fe9ee3c0d1441252e584474efe8961df39f221ba1f0382402def85229ca70f5a",
+        ),
+        (
+            ("enum", "--c-max", "1000", "--mode", "extended", "--format", "table"),
+            "f7f4a5fc26cb7fdc671baa24472b53e05098b513ef8e1fb4f7af9074316dcd00",
+        ),
+        (
+            ("series", "odd", "3", "--c-max", "5000", "--format", "table"),
+            "c803efb1868095253d3b7b6aa42d5e4a2f2c8ce995a6e2d1bee79455ca59dcd8",
+        ),
+        (
+            ("family", "platonic", "--count", "40", "--format", "table"),
+            "cac14c3341aa2713e94089c68fcc0a4003112536d0a9bc23abdef521109e019a",
         ),
     ],
 )
