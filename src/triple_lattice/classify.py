@@ -271,7 +271,9 @@ def verify_chain(
     """
     _check_oracle_bound(c_max, oracle_ceiling, MIN_HYPOTENUSE)
     in_e = _in_euclid(c_max)
-    e_predicted, p0, e, e_odd, lat, lat_primitive = ([0] * (_BANDS + 1) for _ in range(6))
+    # Each pair's sums as one signed sum per band: E minus its prediction,
+    # C minus E's odd legs, primitive lattice rows minus P0.
+    e_gap, c_gap, p0_gap = ([0] * (_BANDS + 1) for _ in range(3))
 
     count_p = count_p0 = 0
     witness_p_not_e = least = None
@@ -281,9 +283,9 @@ def verify_chain(
         if k in in_e:
             i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
             h = hash((a, b, c))
-            e_predicted[i] += h
+            e_gap[i] -= h
             if k == 1:
-                p0[i] += h
+                p0_gap[i] -= h
                 count_p0 += 1
         elif k == 3 and (least is None or (c, a) < least):
             # No k below 3 falls outside E, so some 3p is the least of P - E.
@@ -297,12 +299,12 @@ def verify_chain(
         i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
         if a % 2:
             h = hash((a, b, c))
-            e_odd[i] += h
+            c_gap[i] -= h
         else:
             h = hash((a, b, c) if a < b else (b, a, c))
             if witness_e_not_c is None:
                 witness_e_not_c = (a, b, c)
-        e[i] += h
+        e_gap[i] += h
 
     count_c = multiples = 0
     witness_c_not_p0 = None
@@ -311,15 +313,14 @@ def verify_chain(
         _check_triple(a, b, c)
         i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
         h = hash((a, b, c))
-        lat[i] += h
+        c_gap[i] += h
         if _is_primitive_at(m, n):
-            lat_primitive[i] += h
+            p0_gap[i] += h
             multiples += c_max // c
         elif witness_c_not_p0 is None:
             witness_c_not_p0 = (a, b, c)
 
-    pairs = ((e, e_predicted), (lat, e_odd), (lat_primitive, p0))
-    bad = sorted({i for x, y in pairs for i in range(_BANDS + 1) if x[i] != y[i]})
+    bad = [i for i in range(_BANDS + 1) if e_gap[i] or c_gap[i] or p0_gap[i]]
     texts: tuple[str, ...] = ()
     if bad:
         # A band holds about 1/_BANDS of each route's records.
@@ -358,21 +359,27 @@ def _name_discrepancies(c_max: int, bands: set[int], in_e: set[int]) -> tuple[st
     texts (counts, samples, the first repeat or mismatch in stream order)
     are those a compare of the whole sets would give.  The last three
     checks, against the tree's prediction of E and for repeated tree
-    multiples, name only triples no earlier check names.
+    multiples, name only triples no earlier check names.  Each route is
+    walked only up to top, the highest named band's upper c (c_max for the
+    overflow band), as below any bound it yields the same records in the
+    same order: the streams run in (c, a) order, the tree cuts a branch at
+    its first node past the bound and children only grow, and multiples
+    run k upward.  Bands are still taken against c_max.
     """
+    top = c_max if _BANDS in bands else -(-(max(bands) + 1) * c_max // _BANDS)
 
     def inside(c: int) -> bool:
         return ((c - 1) * _BANDS // c_max if c <= c_max else _BANDS) in bands
 
-    tree = [(Triple(a, b, c), k) for a, b, c, k in _tree_multiples(c_max) if inside(c)]
+    tree = [(Triple(a, b, c), k) for a, b, c, k in _tree_multiples(top) if inside(c)]
     p_set = {t for t, _ in tree}
     p0_set = {t for t, k in tree if k == 1}
     e_predicted = {t for t, k in tree if k in in_e}
     c_pairs = [
-        ((m, n), Triple(a, b, c)) for c, a, b, m, n in _lattice_records(c_max) if inside(c)
+        ((m, n), Triple(a, b, c)) for c, a, b, m, n in _lattice_records(top) if inside(c)
     ]
     c_set = {t for _, t in c_pairs}
-    e_records = [Triple(a, b, c) for c, a, b, _, _ in _extended_records(c_max) if inside(c)]
+    e_records = [Triple(a, b, c) for c, a, b, _, _ in _extended_records(top) if inside(c)]
     e_set = {canonicalize(t) for t in e_records}
 
     discrepancies: list[str] = []

@@ -9,19 +9,22 @@ call with each row's cells.  enum, series and family take their rows
 straight from the plain (c, a, b, i, j) records of the series walks through
 one generator each, which checks each record with every test that Triple
 and its index type make on construction, builds neither object, and puts
-the primitive flag in as "true"/"false".  The single-row commands turn
-their bools and Nones into text through _cells.  verify writes one json-lines
-record (c_max, counts, witnesses, discrepancies), or in csv and table one
-row per set (set, count, witness_a, witness_b, witness_c) and a last row
-counting the discrepancies, each of which also goes to stderr as
-"discrepancy: <text>".  Exit codes: 0 success (also when the reader closes
-stdout early, EPIPE), 2 argument error, 3 overflow (a result or --c-max
-above 2^64 - 1), 4 not in the lattice class, 5 verification discrepancy.
+the primitive flag in as "true"/"false"; gen takes its one row from the
+same lattice-row generator.  classify and verify turn their bools and Nones
+into text through _cells.  verify writes one json-lines record (c_max,
+counts, witnesses, discrepancies), or in csv and table one row per set
+(set, count, witness_a, witness_b, witness_c) and a last row counting the
+discrepancies, each of which also goes to stderr as "discrepancy: <text>".
+Exit codes: 0 success (also when the reader closes stdout early, EPIPE),
+1 stdout cannot be written (closed or full), 2 argument error, 3 overflow
+(a result or --c-max above 2^64 - 1), 4 not in the lattice class, 5
+verification discrepancy.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -30,15 +33,13 @@ from math import gcd
 
 from .classify import DEFAULT_VERIFY_CEILING, classify, verify_chain
 from .core import (
-    LatticeIndex,
     NotInClassC,
     Triple,
     _check_index,
     _check_triple,
     _is_primitive_at,
-    is_primitive_lattice,
+    _lattice_abc,
     lattice_from_triple,
-    triple_from_lattice,
 )
 from .series import (
     _even_records,
@@ -60,9 +61,6 @@ EXIT_DISCREPANCY = 5
 
 LATTICE_FIELDS = ("m", "n", "a", "b", "c", "primitive")
 TABLE_SIZING_ROWS = 1000
-
-# json.dumps(obj, separators=(",", ":")) without a new encoder per call.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _positive_int(text: str) -> int:
@@ -89,9 +87,10 @@ def _cells(row, fmt) -> tuple:
 def _emit(rows, fields, fmt) -> None:
     # The one writer of stdout.  Each row is a tuple of cells in fields
     # order, and rows may be a lazy stream.  A cell is an int or text that
-    # is printed as it is: streamed rows carry "true"/"false" already, and
-    # the single-row commands pass their values through _cells; a json-lines
-    # row holds no str but JSON text that a caller encoded itself.
+    # is printed as it is: lattice and extended rows, gen's among them, carry
+    # "true"/"false" already, and classify and verify pass their values
+    # through _cells; a json-lines row holds no str but JSON text that a
+    # caller encoded itself.
     # json-lines and csv fill one %-template per call and write each record
     # as one write of its line and newline; sys.stdout is looked up at each
     # write, so a swapped stream is honoured.  The table format sizes its
@@ -119,29 +118,28 @@ def _emit(rows, fields, fmt) -> None:
 
 
 def _write_table(head, rest, fields) -> None:
-    # Print the header, head and then rest, with columns sized from head.
+    # Write the header, head and then rest, with columns sized from head.
     widths = [
         max(len(name), *(len(row[i]) for row in head)) if head else len(name)
         for i, name in enumerate(fields)
     ]
-    print("  ".join(name.ljust(w) for name, w in zip(fields, widths)).rstrip())
-    for row in chain(head, rest):
+    for row in chain([fields], head, rest):
         widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        line = "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+        sys.stdout.write(line.rstrip() + "\n")
 
 
 def _resolve_format(args: argparse.Namespace) -> str:
-    fmt = getattr(args, "format", None) or os.environ.get(FORMAT_ENV) or FORMATS[0]
+    fmt = args.format or os.environ.get(FORMAT_ENV) or FORMATS[0]
     if fmt not in FORMATS:
         raise ValueError(f"unknown output format {fmt!r}; choose one of {FORMATS}")
     return fmt
 
 
 def cmd_gen(args: argparse.Namespace, fmt: str) -> int:
-    idx = LatticeIndex(args.m, args.n)
-    t = triple_from_lattice(idx)
-    row = (idx.m, idx.n, t.a, t.b, t.c, is_primitive_lattice(idx), t.c - t.b, t.c - t.a)
-    _emit([_cells(row, fmt)], LATTICE_FIELDS + ("d", "e"), fmt)
+    a, b, c = _lattice_abc(args.m, args.n)
+    (row,) = _lattice_rows([(c, a, b, args.m, args.n)])
+    _emit([(*row, c - b, c - a)], LATTICE_FIELDS + ("d", "e"), fmt)
     return EXIT_OK
 
 
@@ -233,7 +231,8 @@ def cmd_verify(args: argparse.Namespace, fmt: str) -> int:
     }
     if fmt == "json-lines":
         # _emit puts json-lines cells in as they are: nest as JSON text.
-        rows = [(report.c_max, *map(_encode, (counts, witnesses, report.discrepancies)))]
+        nested = (counts, witnesses, report.discrepancies)
+        rows = [(report.c_max, *(json.dumps(v, separators=(",", ":")) for v in nested))]
         fields = ("c_max", "counts", "witnesses", "discrepancies")
     else:
         # A set's row carries the witness that lies in it but not in the
@@ -250,15 +249,6 @@ def cmd_verify(args: argparse.Namespace, fmt: str) -> int:
     return EXIT_OK if report.ok else EXIT_DISCREPANCY
 
 
-def _add_format(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--format",
-        choices=FORMATS,
-        default=None,
-        help=f"output format (default: ${FORMAT_ENV} or json-lines)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triple-lattice",
@@ -270,48 +260,44 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="triple at lattice point (m, n)")
     p.add_argument("m", type=_positive_int)
     p.add_argument("n", type=_positive_int)
-    _add_format(p)
     p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser("inv", help="lattice point of a triple (a, b, c)")
     p.add_argument("a", type=_positive_int)
     p.add_argument("b", type=_positive_int)
     p.add_argument("c", type=_positive_int)
-    _add_format(p)
     p.set_defaults(handler=cmd_inv)
 
     p = sub.add_parser("enum", help="all triples with hypotenuse up to a bound")
     p.add_argument("--c-max", type=_positive_int, required=True)
     p.add_argument("--mode", choices=("lattice", "extended"), default="lattice")
-    _add_format(p)
     p.set_defaults(handler=cmd_enum)
 
     p = sub.add_parser("series", help="one odd(m) or even(n) series")
     p.add_argument("kind", choices=("odd", "even"))
     p.add_argument("index", type=_positive_int)
     p.add_argument("--c-max", type=_positive_int, required=True)
-    _add_format(p)
     p.set_defaults(handler=cmd_series)
 
     p = sub.add_parser("classify", help="membership in the chain P > E > C > P0")
     p.add_argument("a", type=_positive_int)
     p.add_argument("b", type=_positive_int)
     p.add_argument("c", type=_positive_int)
-    _add_format(p)
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("verify", help="cross-check the chain against the oracle")
     p.add_argument("--c-max", type=_positive_int, required=True)
     p.add_argument("--oracle-ceiling", type=_positive_int, default=DEFAULT_VERIFY_CEILING)
-    _add_format(p)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("family", help="prefix of the Pythagorean or Platonic family")
     p.add_argument("kind", choices=("pythagorean", "platonic"))
     p.add_argument("--count", type=_positive_int, default=10)
-    _add_format(p)
     p.set_defaults(handler=cmd_family)
 
+    format_help = f"output format (default: ${FORMAT_ENV} or json-lines)"
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=FORMATS, help=format_help)
     return parser
 
 
@@ -323,14 +309,24 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         fmt = _resolve_format(args)
-        return args.handler(args, fmt)
-    except BrokenPipeError:
-        # The reader stopped early (`... | head -1`): a clean exit.  Point
-        # stdout at devnull so the interpreter's final flush stays quiet.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_OK
+        if sys.stdout is None:
+            # Python starts with sys.stdout None when fd 1 is closed.
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        code = args.handler(args, fmt)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # Point stdout at devnull so the interpreter's final flush of what
+        # could not be written stays quiet.  EPIPE means the reader stopped
+        # early (`... | head -1`): a clean exit.
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_OK
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 1
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW

@@ -66,12 +66,6 @@ def _require_positive_int(name: str, value: int, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def _check_width(*values: int) -> None:
-    for v in values:
-        if v > U64_MAX:
-            raise OverflowError(f"component {v} exceeds the checked 64-bit width")
-
-
 def _check_triple(a: int, b: int, c: int) -> None:
     """Run every test Triple(a, b, c) makes, raising what it raises.
 
@@ -90,7 +84,9 @@ def _check_triple(a: int, b: int, c: int) -> None:
         _require_positive_int("a", a)
         _require_positive_int("b", b)
         _require_positive_int("c", c)
-        _check_width(a, b, c)
+        for v in (a, b, c):
+            if v > U64_MAX:
+                raise OverflowError(f"component {v} exceeds the checked 64-bit width")
     if a * a + b * b != c * c:
         raise ValueError(f"not a Pythagorean triple: {a}^2 + {b}^2 != {c}^2")
 

@@ -552,6 +552,35 @@ def test_verify_chain_names_only_the_bands_its_budget_allows(monkeypatch):
     )
 
 
+def test_naming_pass_walks_no_further_than_its_highest_band(monkeypatch):
+    # The dropped record (33, 56, 65) lies in band 8, whose top c is 71.
+    module = importlib.import_module("triple_lattice.classify")
+    bounds = []
+
+    def logged(name, source):
+        def stream(c_max):
+            bounds.append((name, c_max))
+            return source(c_max)
+
+        return stream
+
+    for name in ("_tree_multiples", "_extended_records", "_lattice_records"):
+        monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
+    monkeypatch.setattr(module, "_lattice_records", _drop_11th(module._lattice_records))
+    assert verify_chain(500).discrepancies == (
+        "1 primitive triples missing from the lattice set, e.g. (33, 56, 65)",
+        "1 Euclid-minus-all-even triples missing from the lattice, e.g. (33, 56, 65)",
+    )
+    assert bounds == [
+        ("_tree_multiples", 500),
+        ("_extended_records", 500),
+        ("_lattice_records", 500),
+        ("_tree_multiples", 71),
+        ("_lattice_records", 71),
+        ("_extended_records", 71),
+    ]
+
+
 @pytest.mark.parametrize(
     "name,corrupt,message",
     [

@@ -446,6 +446,10 @@ SINGLE_ROW_OUTPUT = {
         "table": "m  n  a   b   c   primitive  d  e\n"
                  "2  3  27  36  45  false      9  18\n",
     }),
+    ("gen", "4294967296", "4294967296"): (
+        3, "error: component 147573952563906609153 exceeds the checked 64-bit width\n",
+        {"json-lines": "", "csv": "", "table": ""},
+    ),
     ("inv", "27", "36", "45"): (0, "", {
         "json-lines": '{"m":2,"n":3}\n',
         "csv": "m,n\n2,3\n",

@@ -398,6 +398,10 @@ def test_compose_def_golden(e, f, d, expected):
         (2, 2, 4),  # d an even square
         (2, 2, 3),  # d not a square
         (2, 4, 1),  # f inconsistent with e, d
+        (0, 2, 1),  # e zero
+        (-2, 2, 1),  # e negative
+        (2, 2, 0),  # d zero
+        (2, 2, -9),  # d negative
     ],
 )
 def test_compose_def_rejects_bad_vectors(e, f, d):

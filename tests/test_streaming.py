@@ -5,6 +5,7 @@ under a 512 MB address-space limit and a timeout, so a stream that grows
 with its bound fails the test instead of exhausting the machine.
 """
 
+import errno
 import json
 import os
 import resource
@@ -139,6 +140,38 @@ def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):
             assert main(["enum", "--c-max", "100000"]) == 0
     monkeypatch.undo()
     assert len(os.listdir(fd_dir)) == before
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stdout", ["closed", "full"])
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "2", "3"], ["gen", "2", "3", "--format", "table"], ["enum", "--c-max", "100000"]],
+)
+def test_unwritable_stdout_exits_1_with_one_error_line(argv, stdout, unbuffered):
+    # Buffered, a short output fails only when flushed; unbuffered, at the
+    # write itself.  Either way one line names the error and nothing else
+    # reaches stderr.
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full to write to")
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = errno.EBADF if stdout == "closed" else errno.ENOSPC
+    with open("/dev/full" if stdout == "full" else os.devnull, "wb") as sink:
+        proc = subprocess.run(
+            [sys.executable, "-m", "triple_lattice.cli", *argv],
+            stdout=sink,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=TIMEOUT_S,
+            preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: cannot write to stdout: [Errno {code}] {os.strerror(code)}\n"
 
 
 def test_table_format_streams_instead_of_buffering():
