@@ -91,23 +91,36 @@ class ClassReport:
     triple: Triple | None = None
 
 
+#: classify's report on every non-triple; immutable, so one serves all.
+_NOT_A_TRIPLE = ClassReport(in_P=False, in_E=False, in_C=False, in_P0=False)
+
+
 def classify(x: int, y: int, z: int) -> ClassReport:
     """Classify three positive integers, in any order, against the chain.
 
     The largest value is taken as the candidate hypotenuse and both leg
     orientations are tried where orientation matters.  A non-Pythagorean
-    candidate yields a report with every flag false, never an exception.
+    candidate yields a report with every flag false, never an exception;
+    every such call returns the same immutable report, so callers must
+    compare reports with ==, not rely on their identity.
     """
-    for name, value in (("x", x), ("y", y), ("z", z)):
-        _require_positive_int(name, value)
+    # One combined test; the per-argument checks run only when it fails, so
+    # bad input still gets the error naming its first bad argument.
+    if not (type(x) is int and type(y) is int and type(z) is int and x > 0 and y > 0 and z > 0):
+        for name, value in (("x", x), ("y", y), ("z", z)):
+            _require_positive_int(name, value)
     lo, mid, hi = sorted((x, y, z))
     if lo * lo + mid * mid != hi * hi:
-        return ClassReport(in_P=False, in_E=False, in_C=False, in_P0=False)
-    t = canonicalize(Triple(lo, mid, hi))
-    scale = gcd(t.a, t.b, t.c)
+        return _NOT_A_TRIPLE
+    # canonicalize's orientation on the sorted legs: odd leg first when the
+    # parities differ, else ascending as sorted.
+    if mid % 2 and not lo % 2:
+        lo, mid = mid, lo
+    t = Triple(lo, mid, hi)
+    scale = gcd(lo, mid, hi)
     params = euclid_params_from_triple(t)
     in_e = params is not None
-    in_c = in_e and (t.a + t.b) % 2 == 1
+    in_c = in_e and (lo + mid) % 2 == 1
     return ClassReport(
         in_P=True,
         in_E=in_e,

@@ -18,7 +18,8 @@ discrepancies, each of which also goes to stderr as "discrepancy: <text>".
 Exit codes: 0 success (also when the reader closes stdout early, EPIPE),
 1 stdout cannot be written (closed or full), 2 argument error, 3 overflow
 (a result or --c-max above 2^64 - 1), 4 not in the lattice class, 5
-verification discrepancy.
+verification discrepancy.  Every stderr line goes through _note, so a stderr
+that cannot be written loses its lines but never changes the exit code.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def cmd_verify(args: argparse.Namespace, fmt: str) -> int:
         fields = ("set", "count", "witness_a", "witness_b", "witness_c")
     _emit(rows, fields, fmt)
     for item in report.discrepancies:
-        print(f"discrepancy: {item}", file=sys.stderr)
+        _note(f"discrepancy: {item}")
     return EXIT_OK if report.ok else EXIT_DISCREPANCY
 
 
@@ -301,40 +302,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _note(text: str) -> None:
+    # The one writer of stderr.  A stderr that is closed or cannot be
+    # written loses the line, never the exit code: after a failed write fd 2
+    # points at devnull, so the interpreter's final flush stays quiet too.
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(text + "\n")
+        sys.stderr.flush()
+    except OSError:
+        _silence(sys.stderr)
+
+
+def _silence(stream) -> None:
+    # Point the stream's file descriptor at devnull.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        fmt = _resolve_format(args)
-        if sys.stdout is None:
-            # Python starts with sys.stdout None when fd 1 is closed.
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        code = args.handler(args, fmt)
-        sys.stdout.flush()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # Help went into sys.stdout's buffer, a usage error to stderr;
+            # the flush below reports a help text that cannot be written.
+            code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        else:
+            fmt = _resolve_format(args)
+            if sys.stdout is None:
+                # Python starts with sys.stdout None when fd 1 is closed.
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            code = args.handler(args, fmt)
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except OSError as exc:
         # Point stdout at devnull so the interpreter's final flush of what
         # could not be written stays quiet.  EPIPE means the reader stopped
         # early (`... | head -1`): a clean exit.
         if sys.stdout is not None:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _silence(sys.stdout)
         if isinstance(exc, BrokenPipeError):
             return EXIT_OK
-        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        _note(f"error: cannot write to stdout: {exc}")
         return 1
     except OverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_OVERFLOW
     except NotInClassC as exc:
-        print(f"not in class C: {exc}", file=sys.stderr)
+        _note(f"not in class C: {exc}")
         return EXIT_NOT_IN_C
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_USAGE
 
 

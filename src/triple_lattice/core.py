@@ -11,6 +11,12 @@ with an exact r*r == x verification, never floating point.  Components are
 range-checked against a 64-bit bound so oversized results surface as
 OverflowError instead of silently growing (Python integers never wrap;
 the check keeps behaviour aligned with fixed-width ports).
+
+The value types (Triple, LatticeIndex, ExtendedIndex, EuclidParams,
+Decomposition) are frozen dataclasses whose own __init__ checks its
+arguments first and only then stores them, one object.__setattr__ per
+field, so a valid value costs its checks and its stores and nothing more.
+dataclasses.replace goes through the same __init__, so it checks too.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ __all__ = [
 
 #: Largest value any triple component may take.
 U64_MAX = 2**64 - 1
+
+#: How the value types store a field on their frozen instances.
+_set = object.__setattr__
 
 
 class NotInClassC(ValueError):
@@ -112,8 +121,11 @@ class Triple:
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        _check_triple(self.a, self.b, self.c)
+    def __init__(self, a: int, b: int, c: int) -> None:
+        _check_triple(a, b, c)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
 
 @dataclass(frozen=True)
@@ -123,8 +135,10 @@ class LatticeIndex:
     m: int
     n: int
 
-    def __post_init__(self) -> None:
-        _check_index("m", self.m, self.n)
+    def __init__(self, m: int, n: int) -> None:
+        _check_index("m", m, n)
+        _set(self, "m", m)
+        _set(self, "n", n)
 
 
 @dataclass(frozen=True)
@@ -138,8 +152,10 @@ class ExtendedIndex:
     mu: int
     n: int
 
-    def __post_init__(self) -> None:
-        _check_index("mu", self.mu, self.n)
+    def __init__(self, mu: int, n: int) -> None:
+        _check_index("mu", mu, n)
+        _set(self, "mu", mu)
+        _set(self, "n", n)
 
 
 @dataclass(frozen=True)
@@ -149,11 +165,13 @@ class EuclidParams:
     u: int
     v: int
 
-    def __post_init__(self) -> None:
-        _require_positive_int("u", self.u)
-        _require_positive_int("v", self.v)
-        if self.u <= self.v:
-            raise ValueError(f"u must exceed v, got u={self.u}, v={self.v}")
+    def __init__(self, u: int, v: int) -> None:
+        _require_positive_int("u", u)
+        _require_positive_int("v", v)
+        if u <= v:
+            raise ValueError(f"u must exceed v, got u={u}, v={v}")
+        _set(self, "u", u)
+        _set(self, "v", v)
 
 
 @dataclass(frozen=True)
@@ -169,14 +187,17 @@ class Decomposition:
     f: int
     d: int
 
-    def __post_init__(self) -> None:
-        _require_positive_int("e", self.e)
-        _require_positive_int("f", self.f)
-        _require_positive_int("d", self.d)
-        if self.e % 2:
-            raise ValueError(f"e must be even, got {self.e}")
-        if self.d % 2 == 0:
-            raise ValueError(f"d must be odd, got {self.d}")
+    def __init__(self, e: int, f: int, d: int) -> None:
+        _require_positive_int("e", e)
+        _require_positive_int("f", f)
+        _require_positive_int("d", d)
+        if e % 2:
+            raise ValueError(f"e must be even, got {e}")
+        if d % 2 == 0:
+            raise ValueError(f"d must be odd, got {d}")
+        _set(self, "e", e)
+        _set(self, "f", f)
+        _set(self, "d", d)
 
 
 def canonicalize(t: Triple) -> Triple:

@@ -1,7 +1,8 @@
 """Unit tests for classification, the two oracles and verify_chain."""
 
+import dataclasses
 import importlib
-from itertools import chain
+from itertools import chain, permutations
 from math import gcd
 
 import pytest
@@ -12,6 +13,7 @@ from triple_lattice.classify import (
     DEFAULT_ORACLE_CEILING,
     BoundTooLarge,
     ChainReport,
+    ClassReport,
     _berggren_primitives,
     _check_oracle_bound,
     berggren_triples,
@@ -21,11 +23,14 @@ from triple_lattice.classify import (
 )
 from triple_lattice.cli import main
 from triple_lattice.core import (
+    U64_MAX,
     EuclidParams,
     LatticeIndex,
     Triple,
     canonicalize,
+    euclid_params_from_triple,
     is_primitive_lattice,
+    lattice_from_triple,
     triple_from_lattice,
 )
 from triple_lattice.series import (
@@ -115,6 +120,91 @@ def test_classify_round_trip_of_reported_lattice():
         rep = classify(*raw)
         assert rep.in_C
         assert triple_from_lattice(rep.lattice) == rep.triple
+
+
+_NO_REPORT = ClassReport(in_P=False, in_E=False, in_C=False, in_P0=False)
+
+
+def _reference_report(x, y, z):
+    # classify by the library's public steps: orient with canonicalize,
+    # then recover each parameter by its own function.
+    lo, mid, hi = sorted((x, y, z))
+    if lo * lo + mid * mid != hi * hi:
+        return _NO_REPORT
+    t = canonicalize(Triple(lo, mid, hi))
+    params = euclid_params_from_triple(t)
+    in_c = params is not None and (t.a + t.b) % 2 == 1
+    scale = gcd(t.a, t.b, t.c)
+    return ClassReport(
+        in_P=True,
+        in_E=params is not None,
+        in_C=in_c,
+        in_P0=scale == 1,
+        lattice=lattice_from_triple(t) if in_c else None,
+        euclid=params,
+        scale=scale,
+        triple=t,
+    )
+
+
+def _assert_same_report(got, want):
+    assert type(got) is ClassReport
+    for field in dataclasses.fields(ClassReport):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert type(g) is type(w) and g == w, field.name
+
+
+def test_classify_matches_the_reference_field_by_field():
+    triples = brute_force_triples(1000)
+    assert len(triples) == 881
+    for t in triples:
+        for k in (1, 2, 3, 4, 9):
+            for args in set(permutations((k * t.a, k * t.b, k * t.c))):
+                _assert_same_report(classify(*args), _reference_report(*args))
+            for args in set(permutations((k * t.a, k * t.b, k * t.c + 1))):
+                _assert_same_report(classify(*args), _NO_REPORT)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (U64_MAX + 1, 1, 1),
+        (3, 4, U64_MAX + 2),
+        (2**70, 2**70, 2**71),
+        (3 * 2**62, 4 * 2**62, 5 * 2**62 + 1),
+        (1, 1, 1),
+        (True, 4, 5),
+    ],
+)
+def test_classify_non_triples_past_the_width_raise_nothing(args):
+    for order in permutations(args):
+        _assert_same_report(classify(*order), _NO_REPORT)
+
+
+def test_classify_triple_past_the_width_overflows():
+    k = 2**62
+    for order in permutations((3 * k, 4 * k, 5 * k)):
+        with pytest.raises(OverflowError, match="exceeds the checked 64-bit width"):
+            classify(*order)
+
+
+@pytest.mark.parametrize(
+    "args,exc,message",
+    [
+        ((0, 4, 5), ValueError, "x must be >= 1, got 0"),
+        ((3, -4, 5), ValueError, "y must be >= 1, got -4"),
+        ((3, 4, False), ValueError, "z must be >= 1, got False"),
+        ((3.0, 4, 5), TypeError, "x must be an int, got float"),
+        ((3, 4, "5"), TypeError, "z must be an int, got str"),
+        ((0, None, 5), ValueError, "x must be >= 1, got 0"),
+        ((U64_MAX + 1, None, 5), TypeError, "y must be an int, got NoneType"),
+    ],
+)
+def test_classify_argument_errors_name_the_first_bad_argument(args, exc, message):
+    with pytest.raises(exc) as info:
+        classify(*args)
+    assert type(info.value) is exc
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------- oracle

@@ -1,6 +1,9 @@
 """Unit tests for the lattice maps, inverses and triple algebra."""
 
+import copy
+import dataclasses
 import importlib
+import pickle
 from math import gcd
 
 import pytest
@@ -158,6 +161,48 @@ def test_euclid_params_require_descending(u, v):
 def test_decomposition_parity_validation(e, f, d):
     with pytest.raises(ValueError):
         Decomposition(e, f, d)
+
+
+# Each value type with a valid instance's fields, its repr, and one field
+# change that dataclasses.replace must reject with the constructor's error.
+_VALUE_TYPES = [
+    (Triple, {"a": 3, "b": 4, "c": 5}, "Triple(a=3, b=4, c=5)",
+     {"c": 6}, ValueError, "not a Pythagorean triple: 3^2 + 4^2 != 6^2"),
+    (LatticeIndex, {"m": 2, "n": 3}, "LatticeIndex(m=2, n=3)",
+     {"n": 0}, ValueError, "n must be >= 1, got 0"),
+    (ExtendedIndex, {"mu": 2, "n": 3}, "ExtendedIndex(mu=2, n=3)",
+     {"mu": 1.0}, TypeError, "mu must be an int, got float"),
+    (EuclidParams, {"u": 2, "v": 1}, "EuclidParams(u=2, v=1)",
+     {"v": 2}, ValueError, "u must exceed v, got u=2, v=2"),
+    (Decomposition, {"e": 2, "f": 6, "d": 9}, "Decomposition(e=2, f=6, d=9)",
+     {"e": 3}, ValueError, "e must be even, got 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,fields,text,change,exc,message", _VALUE_TYPES, ids=[c[0].__name__ for c in _VALUE_TYPES]
+)
+def test_value_type_contract(cls, fields, text, change, exc, message):
+    value = cls(*fields.values())
+    assert [f.name for f in dataclasses.fields(cls)] == list(fields)
+    assert dataclasses.asdict(value) == fields
+    assert repr(value) == text
+    twin = cls(**fields)
+    assert twin == value and hash(twin) == hash(value)
+    assert twin is not value
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is cls and copied == value and hash(copied) == hash(value)
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    assert dataclasses.asdict(value) == fields
+    assert dataclasses.replace(value) == value
+    with pytest.raises(exc) as info:
+        dataclasses.replace(value, **change)
+    assert type(info.value) is exc
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

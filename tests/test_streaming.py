@@ -174,6 +174,70 @@ def test_unwritable_stdout_exits_1_with_one_error_line(argv, stdout, unbuffered)
     assert proc.stderr == f"error: cannot write to stdout: [Errno {code}] {os.strerror(code)}\n"
 
 
+def _cli_env() -> dict:
+    # The child imports this package and buffers its output as a pipe would.
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_help_into_a_full_stdout_exits_1_with_one_error_line():
+    # The help text sits in stdout's buffer until main flushes it.  Unbuffered,
+    # argparse itself swallows the failed write and exits 0.
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full to write to")
+    with open("/dev/full", "wb") as sink:
+        proc = subprocess.run(
+            [sys.executable, "-m", "triple_lattice.cli", "gen", "--help"],
+            stdout=sink,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_cli_env(),
+            timeout=TIMEOUT_S,
+        )
+    assert proc.returncode == 1
+    code = errno.ENOSPC
+    assert proc.stderr == f"error: cannot write to stdout: [Errno {code}] {os.strerror(code)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code",
+    [
+        (["-m", "triple_lattice.cli", "gen", "4294967296", "1"], 3),
+        (["-m", "triple_lattice.cli", "inv", "4", "3", "5"], 4),
+        (
+            [
+                "-c",
+                "import importlib, sys\n"
+                "classify = importlib.import_module('triple_lattice.classify')\n"
+                "from triple_lattice.cli import main\n"
+                "flip = classify._is_primitive_at\n"
+                "classify._is_primitive_at = lambda m, n: not flip(m, n)\n"
+                "sys.exit(main(['verify', '--c-max', '100']))\n",
+            ],
+            5,
+        ),
+    ],
+    ids=["overflow", "not-in-c", "discrepancy"],
+)
+def test_unwritable_stderr_keeps_the_exit_code(argv, exit_code):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full to write to")
+    with open("/dev/full", "wb") as sink:
+        proc = subprocess.run(
+            [sys.executable, *argv],
+            stdout=subprocess.PIPE,
+            stderr=sink,
+            text=True,
+            env=_cli_env(),
+            timeout=TIMEOUT_S,
+        )
+    assert proc.returncode == exit_code
+    if exit_code != 5:
+        assert proc.stdout == ""
+
+
 def test_table_format_streams_instead_of_buffering():
     proc = _child(
         "-m", "triple_lattice.cli", "enum", "--c-max", str(10**12), "--format", "table",
