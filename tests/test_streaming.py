@@ -221,10 +221,11 @@ def test_help_into_a_full_stdout_exits_1_with_one_error_line():
     ],
     ids=["overflow", "not-in-c", "discrepancy"],
 )
-def test_unwritable_stderr_keeps_the_exit_code(argv, exit_code):
-    if not os.path.exists("/dev/full"):
+@pytest.mark.parametrize("stderr", ["closed", "full"])
+def test_unwritable_stderr_keeps_the_exit_code(argv, exit_code, stderr):
+    if stderr == "full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full to write to")
-    with open("/dev/full", "wb") as sink:
+    with open("/dev/full" if stderr == "full" else os.devnull, "wb") as sink:
         proc = subprocess.run(
             [sys.executable, *argv],
             stdout=subprocess.PIPE,
@@ -232,9 +233,13 @@ def test_unwritable_stderr_keeps_the_exit_code(argv, exit_code):
             text=True,
             env=_cli_env(),
             timeout=TIMEOUT_S,
+            preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
         )
     assert proc.returncode == exit_code
-    if exit_code != 5:
+    # Nothing meant for stderr lands on stdout: verify's one record only.
+    if exit_code == 5:
+        assert json.loads(proc.stdout)["c_max"] == 100
+    else:
         assert proc.stdout == ""
 
 
