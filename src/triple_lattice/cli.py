@@ -5,21 +5,27 @@ command names its fields once and hands rows of values to _emit, the one
 writer of stdout, as json-lines (default), csv or table; json-lines and csv
 are byte-stable, table is for humans.  Rows reach _emit as ints and text,
 which it prints as they are: json-lines and csv fill one %-template per
-call with each row's cells.  enum, series and family take their rows
-straight from the plain (c, a, b, i, j) records of the series walks through
-one generator each, which checks each record with every test that Triple
-and its index type make on construction, builds neither object, and puts
-the primitive flag in as "true"/"false"; gen takes its one row from the
-same lattice-row generator.  classify and verify turn their bools and Nones
-into text through _cells.  verify writes one json-lines record (c_max,
-counts, witnesses, discrepancies), or in csv and table one row per set
-(set, count, witness_a, witness_b, witness_c) and a last row counting the
+call with each row's cells.  The first row goes out alone, so a stream's
+first record never waits on a batch; later rows go out in batches of
+_BATCH lines, one write each; sys.stdout is looked up at each write.  enum,
+series and family take their rows straight from the plain (c, a, b, i, j)
+records of the series walks through one generator each, which checks each
+record with every test that Triple and its index type make on
+construction, builds neither object, and puts the primitive flag in as
+"true"/"false"; gen takes its one row from the same lattice-row generator.
+classify and verify turn their bools and Nones into text through _cells.
+verify writes one json-lines record (c_max, counts, witnesses,
+discrepancies), or in csv and table one row per set (set, count,
+witness_a, witness_b, witness_c) and a last row counting the
 discrepancies, each of which also goes to stderr as "discrepancy: <text>".
 Exit codes: 0 success (also when the reader closes stdout early, EPIPE),
 1 stdout cannot be written (closed or full), 2 argument error, 3 overflow
 (a result or --c-max above 2^64 - 1), 4 not in the lattice class, 5
 verification discrepancy.  Every stderr line goes through _note, so a stderr
-that cannot be written loses its lines but never changes the exit code.
+that cannot be written loses its lines but never changes the exit code; a
+help text that cannot be written to stdout exits 1 like any other output.
+main builds its parser once per process and reuses it: parsing keeps no
+state on the parser, and the format is resolved afresh on every call.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ EXIT_DISCREPANCY = 5
 
 LATTICE_FIELDS = ("m", "n", "a", "b", "c", "primitive")
 TABLE_SIZING_ROWS = 1000
+_BATCH = 256
 
 
 def _positive_int(text: str) -> int:
@@ -92,13 +99,17 @@ def _emit(rows, fields, fmt) -> None:
     # "true"/"false" already, and classify and verify pass their values
     # through _cells; a json-lines row holds no str but JSON text that a
     # caller encoded itself.
-    # json-lines and csv fill one %-template per call and write each record
-    # as one write of its line and newline; sys.stdout is looked up at each
-    # write, so a swapped stream is honoured.  The table format sizes its
-    # columns from the first TABLE_SIZING_ROWS rows only, so memory never
-    # follows the stream's length; a later, longer cell widens its column
-    # from there on.  An error while those rows are read still prints the
-    # header and the rows read before it.
+    # json-lines and csv fill one %-template per call.  The first row goes
+    # out alone, so a stream's first record waits on no batch; later rows go
+    # out _BATCH lines to one write.  A row that fails its check ends the
+    # batch it is in, and the lines made before it are still written.  Only
+    # sys.stdout.write is called, and sys.stdout is looked up at each write,
+    # so a swapped stream that offers nothing but write and flush is
+    # honoured.  The table format sizes its columns from the first
+    # TABLE_SIZING_ROWS rows only, so memory never follows the stream's
+    # length; a later, longer cell widens its column from there on.  An
+    # error while those rows are read still prints the header and the rows
+    # read before it.
     if fmt == "table":
         texts = (list(map(str, row)) for row in rows)
         head: list[list[str]] = []
@@ -114,8 +125,20 @@ def _emit(rows, fields, fmt) -> None:
     else:
         template = ",".join(["%s"] * len(fields)) + "\n"
         sys.stdout.write(",".join(fields) + "\n")
+    rows = iter(rows)
     for row in rows:
         sys.stdout.write(template % row)
+        break
+    while True:
+        lines: list[str] = []
+        try:
+            # list.extend keeps the lines made before a row raises.
+            lines.extend(map(template.__mod__, islice(rows, _BATCH)))
+        finally:
+            if lines:
+                sys.stdout.write("".join(lines))
+        if len(lines) < _BATCH:
+            return
 
 
 def _write_table(head, rest, fields) -> None:
@@ -250,8 +273,25 @@ def cmd_verify(args: argparse.Namespace, fmt: str) -> int:
     return EXIT_OK if report.ok else EXIT_DISCREPANCY
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse's own _print_message swallows a failed write, and its
+    # print_usage falls back to stdout when sys.stderr is None.  Here a help
+    # text for stdout is written unguarded, so main reports a stdout that
+    # cannot take it, and everything else goes through _note.
+    def print_usage(self, file=None):
+        self._print_message(self.format_usage(), file)
+
+    def _print_message(self, message, file=None):
+        if not message:
+            return
+        if file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            _note(message.removesuffix("\n"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triple-lattice",
         description="Generate, invert, enumerate, classify and verify "
         "Pythagorean triples on the exact (m, n) lattice.",
@@ -322,14 +362,20 @@ def _silence(stream) -> None:
     os.close(devnull)
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parser.parse_args(argv)
         except SystemExit as exc:
-            # Help went into sys.stdout's buffer, a usage error to stderr;
-            # the flush below reports a help text that cannot be written.
+            # Help went to sys.stdout, a usage error to stderr; a help text
+            # that cannot be written raises OSError at its write or, when
+            # stdout is buffered, at the flush below.
             code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         else:
             fmt = _resolve_format(args)

@@ -3,9 +3,13 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import count
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -532,6 +536,9 @@ CORRUPTED_RECORDS = [
      "error: not a Pythagorean triple: 9^2 + 40^2 != 43^2\n"),
     ("_lattice_abc", (3, 1), ("family", "platonic"), 2,
      "error: not a Pythagorean triple: 35^2 + 12^2 != 39^2\n"),
+    # Some 700 rows in, past two full batches of json-lines and csv lines.
+    ("_lattice_abc", (14, 27), ("enum", "--c-max", "5000"), 700,
+     "error: not a Pythagorean triple: 2187^2 + 2916^2 != 3647^2\n"),
 ]
 
 
@@ -564,6 +571,72 @@ def test_family_member_past_the_width_exits_3_after_the_rows_before_it(
     code, out, error = run("family", kind)
     assert (code, error) == (3, err)
     assert out.splitlines() == clean[:before]
+
+
+class _WriteOnly:
+    # A stand-in for sys.stdout that offers write and nothing else.
+    def __init__(self):
+        self.text = ""
+
+    def write(self, s):
+        self.text += s
+        return len(s)
+
+
+@pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+def test_emit_writes_the_first_row_before_it_asks_for_the_second(monkeypatch, fmt):
+    line = ('{{"k":{}}}\n' if fmt == "json-lines" else "{}\n").format
+    sink = _WriteOnly()
+    monkeypatch.setattr(sys, "stdout", sink)
+    seen = []
+
+    def rows():
+        for k in range(1000):
+            if k == 1:
+                seen.append(sink.text)
+            yield (k,)
+
+    cli._emit(rows(), ("k",), fmt)
+    header = "k\n" if fmt == "csv" else ""
+    assert seen == [header + line(0)]
+    assert sink.text == header + "".join(map(line, range(1000)))
+
+
+# Commands main runs in turn on one parser, each with the environment it
+# runs under: a format taken from the environment, a usage error, an
+# argument error between two verify runs and a help text must each leave
+# the next call as a fresh process would find it.
+PARSER_REUSE_STEPS = [
+    ({}, ("enum", "--c-max", "300", "--format", "csv")),
+    ({FORMAT_ENV: "table"}, ("enum", "--c-max", "300")),
+    ({}, ("enum", "--c-max", "0")),
+    ({}, ("verify", "--c-max", "20", "--oracle-ceiling", "10")),
+    ({}, ("verify", "--c-max", "20")),
+    ({}, ("gen", "--help")),
+]
+
+
+def test_reused_parser_answers_each_command_as_a_fresh_process(run, monkeypatch):
+    # Help is wrapped to the terminal width, which COLUMNS fixes for both.
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run("gen", "1", "1")
+    parser = cli._parser
+    for env, argv in PARSER_REUSE_STEPS:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "triple_lattice.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, **env, "PYTHONPATH": path},
+            timeout=60,
+        )
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert run(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        for name in env:
+            monkeypatch.delenv(name)
+    assert parser is not None and cli._parser is parser
 
 
 def test_enum_csv_has_header_naming_fields(run):

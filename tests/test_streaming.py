@@ -183,22 +183,23 @@ def _cli_env() -> dict:
 
 
 def test_help_into_a_full_stdout_exits_1_with_one_error_line():
-    # The help text sits in stdout's buffer until main flushes it.  Unbuffered,
-    # argparse itself swallows the failed write and exits 0.
+    # Buffered, the help text fails when main flushes it; unbuffered, at the
+    # parser's own write.
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full to write to")
-    with open("/dev/full", "wb") as sink:
-        proc = subprocess.run(
-            [sys.executable, "-m", "triple_lattice.cli", "gen", "--help"],
-            stdout=sink,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=_cli_env(),
-            timeout=TIMEOUT_S,
-        )
-    assert proc.returncode == 1
-    code = errno.ENOSPC
-    assert proc.stderr == f"error: cannot write to stdout: [Errno {code}] {os.strerror(code)}\n"
+    for env in (_cli_env(), dict(_cli_env(), PYTHONUNBUFFERED="1")):
+        with open("/dev/full", "wb") as sink:
+            proc = subprocess.run(
+                [sys.executable, "-m", "triple_lattice.cli", "gen", "--help"],
+                stdout=sink,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=TIMEOUT_S,
+            )
+        assert proc.returncode == 1
+        code = errno.ENOSPC
+        assert proc.stderr == f"error: cannot write to stdout: [Errno {code}] {os.strerror(code)}\n"
 
 
 @pytest.mark.parametrize(
@@ -218,8 +219,9 @@ def test_help_into_a_full_stdout_exits_1_with_one_error_line():
             ],
             5,
         ),
+        (["-m", "triple_lattice.cli", "bogus"], 2),
     ],
-    ids=["overflow", "not-in-c", "discrepancy"],
+    ids=["overflow", "not-in-c", "discrepancy", "usage"],
 )
 @pytest.mark.parametrize("stderr", ["closed", "full"])
 def test_unwritable_stderr_keeps_the_exit_code(argv, exit_code, stderr):
