@@ -24,8 +24,8 @@ Exit codes: 0 success (also when the reader closes stdout early, EPIPE),
 verification discrepancy.  Every stderr line goes through _note, so a stderr
 that cannot be written loses its lines but never changes the exit code; a
 help text that cannot be written to stdout exits 1 like any other output.
-main builds its parser once per process and reuses it: parsing keeps no
-state on the parser, and the format is resolved afresh on every call.
+main builds a new parser on every call; a subcommand's parser adds its
+arguments only when it is the one that parses.
 """
 
 from __future__ import annotations
@@ -274,13 +274,9 @@ def cmd_verify(args: argparse.Namespace, fmt: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse's own _print_message swallows a failed write, and its
-    # print_usage falls back to stdout when sys.stderr is None.  Here a help
+    # argparse's own _print_message swallows a failed write.  Here a help
     # text for stdout is written unguarded, so main reports a stdout that
     # cannot take it, and everything else goes through _note.
-    def print_usage(self, file=None):
-        self._print_message(self.format_usage(), file)
-
     def _print_message(self, message, file=None):
         if not message:
             return
@@ -289,6 +285,36 @@ class _Parser(argparse.ArgumentParser):
         else:
             _note(message.removesuffix("\n"))
 
+    def error(self, message):
+        # argparse prints the usage through print_usage, which falls back to
+        # stdout when sys.stderr is None (fd 2 closed); the usage is a
+        # stderr line, lost with the rest.
+        if sys.stderr is None:
+            self.exit(EXIT_USAGE)
+        super().error(message)
+
+
+class _Command(_Parser):
+    # One subcommand's parser.  It keeps the arguments it is given, its -h
+    # among them, and adds them in the same order when argparse first hands
+    # it arguments to parse, the only way argparse reaches it; until then
+    # add_argument returns None.  A run so adds the arguments of the one
+    # command it runs, not of all seven.
+    def __init__(self, **kwargs):
+        self._pending = []
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        if self._pending is None:
+            return super().add_argument(*args, **kwargs)
+        self._pending.append((args, kwargs))
+
+    def parse_known_args(self, args=None, namespace=None):
+        pending, self._pending = self._pending, None
+        for names, kwargs in pending or ():
+            self.add_argument(*names, **kwargs)
+        return super().parse_known_args(args, namespace)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -296,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate, invert, enumerate, classify and verify "
         "Pythagorean triples on the exact (m, n) lattice.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     p = sub.add_parser("gen", help="triple at lattice point (m, n)")
     p.add_argument("m", type=_positive_int)
@@ -362,16 +388,11 @@ def _silence(stream) -> None:
     os.close(devnull)
 
 
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv: list[str] | None = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
+    parser = build_parser()
     try:
         try:
-            args = _parser.parse_args(argv)
+            args = parser.parse_args(argv)
         except SystemExit as exc:
             # Help went to sys.stdout, a usage error to stderr; a help text
             # that cannot be written raises OSError at its write or, when

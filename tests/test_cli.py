@@ -3,13 +3,10 @@
 import hashlib
 import io
 import json
-import os
-import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import count
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -602,41 +599,45 @@ def test_emit_writes_the_first_row_before_it_asks_for_the_second(monkeypatch, fm
     assert sink.text == header + "".join(map(line, range(1000)))
 
 
-# Commands main runs in turn on one parser, each with the environment it
-# runs under: a format taken from the environment, a usage error, an
-# argument error between two verify runs and a help text must each leave
-# the next call as a fresh process would find it.
-PARSER_REUSE_STEPS = [
-    ({}, ("enum", "--c-max", "300", "--format", "csv")),
-    ({FORMAT_ENV: "table"}, ("enum", "--c-max", "300")),
-    ({}, ("enum", "--c-max", "0")),
-    ({}, ("verify", "--c-max", "20", "--oracle-ceiling", "10")),
-    ({}, ("verify", "--c-max", "20")),
-    ({}, ("gen", "--help")),
+# A subcommand's parser adds its arguments only when it parses, so its help
+# and usage must list them as if they had been added up front: -h first,
+# then each in the order build_parser gives it, --format last.  The last
+# case names its command second, behind an argument the top level rejects.
+DEFERRED_ARGUMENT_TEXTS = [
+    (("enum", "--help"), 0, """\
+usage: triple-lattice enum [-h] --c-max C_MAX [--mode {lattice,extended}]
+                           [--format {json-lines,csv,table}]
+
+options:
+  -h, --help            show this help message and exit
+  --c-max C_MAX
+  --mode {lattice,extended}
+  --format {json-lines,csv,table}
+                        output format (default: $TRIPLE_LATTICE_FORMAT or
+                        json-lines)
+""", ""),
+    (("verify", "--c-max", "0"), 2, "", """\
+usage: triple-lattice verify [-h] --c-max C_MAX
+                             [--oracle-ceiling ORACLE_CEILING]
+                             [--format {json-lines,csv,table}]
+triple-lattice verify: error: argument --c-max: 0 is not a positive integer
+"""),
+    (("gen", "0", "1"), 2, "", """\
+usage: triple-lattice gen [-h] [--format {json-lines,csv,table}] m n
+triple-lattice gen: error: argument m: 0 is not a positive integer
+"""),
+    (("--format=csv", "enum", "--c-max", "5"), 2, "", """\
+usage: triple-lattice [-h] {gen,inv,enum,series,classify,verify,family} ...
+triple-lattice: error: unrecognized arguments: --format=csv
+"""),
 ]
 
 
-def test_reused_parser_answers_each_command_as_a_fresh_process(run, monkeypatch):
-    # Help is wrapped to the terminal width, which COLUMNS fixes for both.
+def test_deferred_subcommand_arguments_keep_help_and_usage_texts(run, monkeypatch):
+    # Help and usage are wrapped to the terminal width, which COLUMNS fixes.
     monkeypatch.setenv("COLUMNS", "80")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    run("gen", "1", "1")
-    parser = cli._parser
-    for env, argv in PARSER_REUSE_STEPS:
-        fresh = subprocess.run(
-            [sys.executable, "-m", "triple_lattice.cli", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, **env, "PYTHONPATH": path},
-            timeout=60,
-        )
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        assert run(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-        for name in env:
-            monkeypatch.delenv(name)
-    assert parser is not None and cli._parser is parser
+    for argv, code, out, err in DEFERRED_ARGUMENT_TEXTS:
+        assert run(*argv) == (code, out, err), argv
 
 
 def test_enum_csv_has_header_naming_fields(run):
