@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands: gen, inv, enum, series, classify, verify, family.  Every
-command names its fields once and hands rows of values to _emit, the one
-writer of stdout, as json-lines (default), csv or table; json-lines and csv
-are byte-stable, table is for humans.  Rows reach _emit as ints and text,
-which it prints as they are: json-lines and csv fill one %-template per
-call with each row's cells.  The first row goes out alone, so a stream's
-first record never waits on a batch; later rows go out in batches of
-_BATCH lines, one write each; sys.stdout is looked up at each write.  enum,
+command names its fields once and hands rows of values to _emit as
+json-lines (default), csv or table; json-lines and csv are byte-stable,
+table is for humans.  Rows reach _emit as ints and text, which it prints as
+they are: json-lines and csv fill one %-template per call with each row's
+cells.  The first batch is one row, so a stream's first record never waits
+on a batch; later batches are _BATCH lines, one write each.  _write is the
+one writer of stdout, for rows and help texts alike; it looks sys.stdout up
+at each call and fails like a full stdout when fd 1 is closed.  enum,
 series and family take their rows straight from the plain (c, a, b, i, j)
 records of the series walks through one generator each, which checks each
 record with every test that Triple and its index type make on
@@ -19,12 +20,12 @@ discrepancies), or in csv and table one row per set (set, count,
 witness_a, witness_b, witness_c) and a last row counting the
 discrepancies, each of which also goes to stderr as "discrepancy: <text>".
 Exit codes: 0 success (also when the reader closes stdout early, EPIPE),
-1 stdout cannot be written (closed or full), 2 argument error, 3 overflow
-(a result or --c-max above 2^64 - 1), 4 not in the lattice class, 5
-verification discrepancy.  Every stderr line goes through _note, so a stderr
-that cannot be written loses its lines but never changes the exit code; a
-help text that cannot be written to stdout exits 1 like any other output.
-main builds a new parser on every call; a subcommand's parser adds its
+1 the first write to stdout fails (closed or full), 2 argument error, 3
+overflow (a result or --c-max above 2^64 - 1), 4 not in the lattice class,
+5 verification discrepancy.  A command that fails before it writes keeps
+its own code.  Every stderr line goes through _note, so a stderr that
+cannot be written loses its lines but never changes the exit code.  main
+builds a new parser on every call; a subcommand's parser adds its
 arguments only when it is the one that parses.
 """
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 from itertools import chain, islice
@@ -93,52 +93,56 @@ def _cells(row, fmt) -> tuple:
 
 
 def _emit(rows, fields, fmt) -> None:
-    # The one writer of stdout.  Each row is a tuple of cells in fields
-    # order, and rows may be a lazy stream.  A cell is an int or text that
-    # is printed as it is: lattice and extended rows, gen's among them, carry
-    # "true"/"false" already, and classify and verify pass their values
-    # through _cells; a json-lines row holds no str but JSON text that a
-    # caller encoded itself.
-    # json-lines and csv fill one %-template per call.  The first row goes
-    # out alone, so a stream's first record waits on no batch; later rows go
-    # out _BATCH lines to one write.  A row that fails its check ends the
-    # batch it is in, and the lines made before it are still written.  Only
-    # sys.stdout.write is called, and sys.stdout is looked up at each write,
-    # so a swapped stream that offers nothing but write and flush is
-    # honoured.  The table format sizes its columns from the first
-    # TABLE_SIZING_ROWS rows only, so memory never follows the stream's
-    # length; a later, longer cell widens its column from there on.  An
-    # error while those rows are read still prints the header and the rows
-    # read before it.
+    # Each row is a tuple of cells in fields order, and rows may be a lazy
+    # stream.  A cell is an int or text that is printed as it is: lattice
+    # and extended rows, gen's among them, carry "true"/"false" already, and
+    # classify and verify pass their values through _cells; a json-lines row
+    # holds no str but JSON text that a caller encoded itself.
+    # json-lines and csv fill one %-template per call.  The first batch is
+    # one row, so a stream's first record waits on no batch; later batches
+    # are _BATCH lines to one _write.  A row that fails its check ends the
+    # batch it is in, and the lines made before it are still written.  The
+    # table format sizes its columns from the first TABLE_SIZING_ROWS rows
+    # only, so memory never follows the stream's length; a later, longer
+    # cell widens its column from there on.  An error while those rows are
+    # read leaves texts spent, so the header and the rows read before it are
+    # all that is written.
     if fmt == "table":
         texts = (list(map(str, row)) for row in rows)
         head: list[list[str]] = []
         try:
             head.extend(islice(texts, TABLE_SIZING_ROWS))
-        except (OverflowError, ValueError):
-            _write_table(head, (), fields)
-            raise
-        _write_table(head, texts, fields)
+        finally:
+            _write_table(head, texts, fields)
         return
     if fmt == "json-lines":
         template = "{" + ",".join(f'"{name}":%s' for name in fields) + "}\n"
     else:
         template = ",".join(["%s"] * len(fields)) + "\n"
-        sys.stdout.write(",".join(fields) + "\n")
+        _write(",".join(fields) + "\n")
     rows = iter(rows)
-    for row in rows:
-        sys.stdout.write(template % row)
-        break
+    size = 1
     while True:
         lines: list[str] = []
         try:
             # list.extend keeps the lines made before a row raises.
-            lines.extend(map(template.__mod__, islice(rows, _BATCH)))
+            lines.extend(map(template.__mod__, islice(rows, size)))
         finally:
             if lines:
-                sys.stdout.write("".join(lines))
-        if len(lines) < _BATCH:
+                _write("".join(lines))
+        if len(lines) < size:
             return
+        size = _BATCH
+
+
+def _write(text: str) -> None:
+    # The one writer of stdout.  sys.stdout is looked up at each call, so a
+    # stream swapped in mid-run that offers nothing but write and flush is
+    # honoured.  Python starts with sys.stdout None when fd 1 is closed: that
+    # fails here, at the first write, as a full stdout would.
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    sys.stdout.write(text)
 
 
 def _write_table(head, rest, fields) -> None:
@@ -150,7 +154,7 @@ def _write_table(head, rest, fields) -> None:
     for row in chain([fields], head, rest):
         widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
         line = "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-        sys.stdout.write(line.rstrip() + "\n")
+        _write(line.rstrip() + "\n")
 
 
 def _resolve_format(args: argparse.Namespace) -> str:
@@ -255,6 +259,8 @@ def cmd_verify(args: argparse.Namespace, fmt: str) -> int:
     }
     if fmt == "json-lines":
         # _emit puts json-lines cells in as they are: nest as JSON text.
+        import json
+
         nested = (counts, witnesses, report.discrepancies)
         rows = [(report.c_max, *(json.dumps(v, separators=(",", ":")) for v in nested))]
         fields = ("c_max", "counts", "witnesses", "discrepancies")
@@ -275,23 +281,20 @@ def cmd_verify(args: argparse.Namespace, fmt: str) -> int:
 
 class _Parser(argparse.ArgumentParser):
     # argparse's own _print_message swallows a failed write.  Here a help
-    # text for stdout is written unguarded, so main reports a stdout that
-    # cannot take it, and everything else goes through _note.
+    # text for stdout, or for None, which argparse passes when fd 1 is
+    # closed, goes to _write unguarded, so main reports a stdout that cannot
+    # take it; a text for any other file is written to that file.
     def _print_message(self, message, file=None):
         if not message:
             return
-        if file is not None and file is sys.stdout:
-            file.write(message)
+        if file is None or file is sys.stdout:
+            _write(message)
         else:
-            _note(message.removesuffix("\n"))
+            file.write(message)
 
     def error(self, message):
-        # argparse prints the usage through print_usage, which falls back to
-        # stdout when sys.stderr is None (fd 2 closed); the usage is a
-        # stderr line, lost with the rest.
-        if sys.stderr is None:
-            self.exit(EXIT_USAGE)
-        super().error(message)
+        _note(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(EXIT_USAGE)
 
 
 class _Command(_Parser):
@@ -394,16 +397,12 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
-            # Help went to sys.stdout, a usage error to stderr; a help text
+            # Help went to _write, a usage error to _note; a help text
             # that cannot be written raises OSError at its write or, when
             # stdout is buffered, at the flush below.
             code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         else:
-            fmt = _resolve_format(args)
-            if sys.stdout is None:
-                # Python starts with sys.stdout None when fd 1 is closed.
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            code = args.handler(args, fmt)
+            code = args.handler(args, _resolve_format(args))
         if sys.stdout is not None:
             sys.stdout.flush()
         return code

@@ -146,12 +146,18 @@ def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):
 @pytest.mark.parametrize("stdout", ["closed", "full"])
 @pytest.mark.parametrize(
     "argv",
-    [["gen", "2", "3"], ["gen", "2", "3", "--format", "table"], ["enum", "--c-max", "100000"]],
+    [
+        ["gen", "2", "3"],
+        ["gen", "2", "3", "--format", "table"],
+        ["enum", "--c-max", "100000"],
+        ["gen", "--help"],
+        ["--help"],
+    ],
 )
 def test_unwritable_stdout_exits_1_with_one_error_line(argv, stdout, unbuffered):
     # Buffered, a short output fails only when flushed; unbuffered, at the
     # write itself.  Either way one line names the error and nothing else
-    # reaches stderr.
+    # reaches stderr.  A help text is output like any other.
     if stdout == "full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full to write to")
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
@@ -180,26 +186,6 @@ def _cli_env() -> dict:
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("PYTHONUNBUFFERED", None)
     return env
-
-
-def test_help_into_a_full_stdout_exits_1_with_one_error_line():
-    # Buffered, the help text fails when main flushes it; unbuffered, at the
-    # parser's own write.
-    if not os.path.exists("/dev/full"):
-        pytest.skip("no /dev/full to write to")
-    for env in (_cli_env(), dict(_cli_env(), PYTHONUNBUFFERED="1")):
-        with open("/dev/full", "wb") as sink:
-            proc = subprocess.run(
-                [sys.executable, "-m", "triple_lattice.cli", "gen", "--help"],
-                stdout=sink,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=env,
-                timeout=TIMEOUT_S,
-            )
-        assert proc.returncode == 1
-        code = errno.ENOSPC
-        assert proc.stderr == f"error: cannot write to stdout: [Errno {code}] {os.strerror(code)}\n"
 
 
 @pytest.mark.parametrize(
@@ -243,6 +229,46 @@ def test_unwritable_stderr_keeps_the_exit_code(argv, exit_code, stderr):
         assert json.loads(proc.stdout)["c_max"] == 100
     else:
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code",
+    [
+        (["gen", "4294967296", "1"], 3),
+        (["inv", "4", "3", "5"], 4),
+        (["verify", "--c-max", "60", "--oracle-ceiling", "10"], 2),
+        (["series", "odd", "1", "--c-max", str(2**64)], 3),
+        (["enum", "--c-max", "4"], 0),
+    ],
+    ids=["overflow", "not-in-c", "usage", "bound", "empty"],
+)
+def test_closed_stdout_fails_like_a_full_one(argv, exit_code):
+    # stdout fails only at its first write, so a command that fails before
+    # writing, or writes nothing, keeps its own exit code and stderr.
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full to write to")
+    seen = []
+    for closed in (True, False):
+        with open("/dev/full", "wb") as sink:
+            proc = subprocess.run(
+                [sys.executable, "-m", "triple_lattice.cli", *argv],
+                stdout=sink,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=_cli_env(),
+                timeout=TIMEOUT_S,
+                preexec_fn=(lambda: os.close(1)) if closed else None,
+            )
+        seen.append((proc.returncode, proc.stderr))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == exit_code
+    assert "Traceback" not in seen[0][1]
+
+
+def test_importing_the_cli_leaves_json_unloaded():
+    # Only verify's json-lines record needs json; no other run pays for it.
+    code, out, err = _run("-c", "import sys, triple_lattice.cli; print('json' in sys.modules)")
+    assert (code, out, err) == (0, "False\n", "")
 
 
 def test_table_format_streams_instead_of_buffering():
