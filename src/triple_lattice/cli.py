@@ -25,8 +25,9 @@ overflow (a result or --c-max above 2^64 - 1), 4 not in the lattice class,
 5 verification discrepancy.  A command that fails before it writes keeps
 its own code.  Every stderr line goes through _note, so a stderr that
 cannot be written loses its lines but never changes the exit code.  main
-builds a new parser on every call; a subcommand's parser adds its
-arguments only when it is the one that parses.
+builds a new parser on every call, but a subcommand's parser is built,
+with its arguments and defaults, only when it is the one that parses;
+until then its add_argument and set_defaults return None.
 """
 
 from __future__ import annotations
@@ -298,24 +299,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Command(_Parser):
-    # One subcommand's parser.  It keeps the arguments it is given, its -h
-    # among them, and adds them in the same order when argparse first hands
-    # it arguments to parse, the only way argparse reaches it; until then
-    # add_argument returns None.  A run so adds the arguments of the one
-    # command it runs, not of all seven.
+    # One subcommand's parser, built only when argparse first hands it
+    # arguments to parse, the only way argparse reaches it.  Until then it
+    # keeps its constructor's keywords and the add_argument and set_defaults
+    # calls it is given, each of which returns None, and parse_known_args
+    # replays them in the same order.  A run so builds the parser of the one
+    # command it runs, not all seven.
     def __init__(self, **kwargs):
-        self._pending = []
-        super().__init__(**kwargs)
+        self._pending = [(super().__init__, (), kwargs)]
 
     def add_argument(self, *args, **kwargs):
         if self._pending is None:
             return super().add_argument(*args, **kwargs)
-        self._pending.append((args, kwargs))
+        self._pending.append((super().add_argument, args, kwargs))
+
+    def set_defaults(self, **kwargs):
+        if self._pending is None:
+            return super().set_defaults(**kwargs)
+        self._pending.append((super().set_defaults, (), kwargs))
 
     def parse_known_args(self, args=None, namespace=None):
         pending, self._pending = self._pending, None
-        for names, kwargs in pending or ():
-            self.add_argument(*names, **kwargs)
+        for call, call_args, call_kwargs in pending or ():
+            call(*call_args, **call_kwargs)
         return super().parse_known_args(args, namespace)
 
 
@@ -325,7 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate, invert, enumerate, classify and verify "
         "Pythagorean triples on the exact (m, n) lattice.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    # Given prog, add_subparsers need not format the usage to find it.
+    sub = parser.add_subparsers(
+        dest="command", required=True, prog=parser.prog, parser_class=_Command
+    )
 
     p = sub.add_parser("gen", help="triple at lattice point (m, n)")
     p.add_argument("m", type=_positive_int)
@@ -385,9 +394,15 @@ def _note(text: str) -> None:
 
 
 def _silence(stream) -> None:
-    # Point the stream's file descriptor at devnull.
+    # Point the stream's file descriptor at devnull.  A stream with no
+    # usable descriptor, such as one that offers only write and flush, or an
+    # io.StringIO, is left as it is.
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError):
+        return
     devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, stream.fileno())
+    os.dup2(devnull, fd)
     os.close(devnull)
 
 

@@ -1,5 +1,6 @@
 """CLI contract tests: records, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -599,11 +600,59 @@ def test_emit_writes_the_first_row_before_it_asks_for_the_second(monkeypatch, fm
     assert sink.text == header + "".join(map(line, range(1000)))
 
 
-# A subcommand's parser adds its arguments only when it parses, so its help
-# and usage must list them as if they had been added up front: -h first,
-# then each in the order build_parser gives it, --format last.  The last
-# case names its command second, behind an argument the top level rejects.
+# A subcommand's parser is built, with its arguments, only when it parses,
+# so its help and usage must list them as if it had been built up front: -h
+# first, then each in the order build_parser gives it, --format last.  The
+# top-level help names every command, though it builds none of their
+# parsers.  The last case names its command second, behind an argument the
+# top level rejects.
 DEFERRED_ARGUMENT_TEXTS = [
+    (("--help",), 0, """\
+usage: triple-lattice [-h] {gen,inv,enum,series,classify,verify,family} ...
+
+Generate, invert, enumerate, classify and verify Pythagorean triples on the
+exact (m, n) lattice.
+
+positional arguments:
+  {gen,inv,enum,series,classify,verify,family}
+    gen                 triple at lattice point (m, n)
+    inv                 lattice point of a triple (a, b, c)
+    enum                all triples with hypotenuse up to a bound
+    series              one odd(m) or even(n) series
+    classify            membership in the chain P > E > C > P0
+    verify              cross-check the chain against the oracle
+    family              prefix of the Pythagorean or Platonic family
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (("gen", "--help"), 0, """\
+usage: triple-lattice gen [-h] [--format {json-lines,csv,table}] m n
+
+positional arguments:
+  m
+  n
+
+options:
+  -h, --help            show this help message and exit
+  --format {json-lines,csv,table}
+                        output format (default: $TRIPLE_LATTICE_FORMAT or
+                        json-lines)
+""", ""),
+    (("inv", "--help"), 0, """\
+usage: triple-lattice inv [-h] [--format {json-lines,csv,table}] a b c
+
+positional arguments:
+  a
+  b
+  c
+
+options:
+  -h, --help            show this help message and exit
+  --format {json-lines,csv,table}
+                        output format (default: $TRIPLE_LATTICE_FORMAT or
+                        json-lines)
+""", ""),
     (("enum", "--help"), 0, """\
 usage: triple-lattice enum [-h] --c-max C_MAX [--mode {lattice,extended}]
                            [--format {json-lines,csv,table}]
@@ -612,6 +661,64 @@ options:
   -h, --help            show this help message and exit
   --c-max C_MAX
   --mode {lattice,extended}
+  --format {json-lines,csv,table}
+                        output format (default: $TRIPLE_LATTICE_FORMAT or
+                        json-lines)
+""", ""),
+    (("series", "--help"), 0, """\
+usage: triple-lattice series [-h] --c-max C_MAX
+                             [--format {json-lines,csv,table}]
+                             {odd,even} index
+
+positional arguments:
+  {odd,even}
+  index
+
+options:
+  -h, --help            show this help message and exit
+  --c-max C_MAX
+  --format {json-lines,csv,table}
+                        output format (default: $TRIPLE_LATTICE_FORMAT or
+                        json-lines)
+""", ""),
+    (("classify", "--help"), 0, """\
+usage: triple-lattice classify [-h] [--format {json-lines,csv,table}] a b c
+
+positional arguments:
+  a
+  b
+  c
+
+options:
+  -h, --help            show this help message and exit
+  --format {json-lines,csv,table}
+                        output format (default: $TRIPLE_LATTICE_FORMAT or
+                        json-lines)
+""", ""),
+    (("verify", "--help"), 0, """\
+usage: triple-lattice verify [-h] --c-max C_MAX
+                             [--oracle-ceiling ORACLE_CEILING]
+                             [--format {json-lines,csv,table}]
+
+options:
+  -h, --help            show this help message and exit
+  --c-max C_MAX
+  --oracle-ceiling ORACLE_CEILING
+  --format {json-lines,csv,table}
+                        output format (default: $TRIPLE_LATTICE_FORMAT or
+                        json-lines)
+""", ""),
+    (("family", "--help"), 0, """\
+usage: triple-lattice family [-h] [--count COUNT]
+                             [--format {json-lines,csv,table}]
+                             {pythagorean,platonic}
+
+positional arguments:
+  {pythagorean,platonic}
+
+options:
+  -h, --help            show this help message and exit
+  --count COUNT
   --format {json-lines,csv,table}
                         output format (default: $TRIPLE_LATTICE_FORMAT or
                         json-lines)
@@ -638,6 +745,28 @@ def test_deferred_subcommand_arguments_keep_help_and_usage_texts(run, monkeypatc
     monkeypatch.setenv("COLUMNS", "80")
     for argv, code, out, err in DEFERRED_ARGUMENT_TEXTS:
         assert run(*argv) == (code, out, err), argv
+
+
+def test_a_run_builds_only_the_parser_it_parses_with(monkeypatch):
+    # build_parser builds the top-level parser alone; a subcommand's parser
+    # is built when it parses, so a run builds at most one of the seven.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for call, want in [
+        (cli.build_parser, 1),
+        (lambda: main(["enum", "--c-max", "10"]), 2),
+        (lambda: main(["--help"]), 1),
+        (lambda: main(["bogus"]), 1),
+    ]:
+        built.clear()
+        call()
+        assert len(built) == want
 
 
 def test_enum_csv_has_header_naming_fields(run):

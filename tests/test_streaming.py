@@ -6,6 +6,7 @@ with its bound fails the test instead of exhausting the machine.
 """
 
 import errno
+import io
 import json
 import os
 import resource
@@ -263,6 +264,48 @@ def test_closed_stdout_fails_like_a_full_one(argv, exit_code):
     assert seen[0] == seen[1]
     assert seen[0][0] == exit_code
     assert "Traceback" not in seen[0][1]
+
+
+class _WriteOnly:
+    # A stream that offers nothing but write and flush, and whose every
+    # write raises exc.
+    def __init__(self, exc):
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+    def flush(self):
+        pass
+
+
+class _FullStringIO(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+ENOSPC_LINE = f"error: cannot write to stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize(
+    "name,stream,argv,exit_code,err",
+    [
+        ("stdout", lambda: _WriteOnly(BrokenPipeError(errno.EPIPE, "Broken pipe")),
+         ["enum", "--c-max", "100"], 0, ""),
+        ("stdout", _FullStringIO, ["enum", "--c-max", "100"], 1, ENOSPC_LINE),
+        ("stderr", lambda: _WriteOnly(OSError(errno.ENOSPC, "No space left on device")),
+         ["gen", "4294967296", "1"], 3, ""),
+    ],
+    ids=["write-only-stdout-epipe", "stringio-stdout-full", "write-only-stderr-full"],
+)
+def test_stream_without_a_descriptor_keeps_the_exit_code(
+    name, stream, argv, exit_code, err, monkeypatch, capsys
+):
+    # A failed stream that has no file descriptor to point at devnull is
+    # left as it is; the run still ends with its own exit code.
+    monkeypatch.setattr(sys, name, stream())
+    assert main(argv) == exit_code
+    assert capsys.readouterr() == ("", err)
 
 
 def test_importing_the_cli_leaves_json_unloaded():
