@@ -3,21 +3,20 @@
 Subcommands: gen, inv, enum, series, classify, verify, family.  Every
 command names its fields once and hands rows of values to _emit as
 json-lines (default), csv or table; json-lines and csv are byte-stable,
-table is for humans.  Rows reach _emit as ints and text, which it prints as
-they are: json-lines and csv fill one %-template per call with each row's
-cells.  The first batch is one row, so a stream's first record never waits
-on a batch; later batches are _BATCH lines, one write each.  _write is the
-one writer of stdout, for rows and help texts alike; it looks sys.stdout up
-at each call and fails like a full stdout when fd 1 is closed.  enum,
-series and family take their rows straight from the plain (c, a, b, i, j)
-records of the series walks through one generator each, which checks each
-record with every test that Triple and its index type make on
+table is for humans.  Rows reach _emit as ints and text, which it prints
+as they are: json-lines and csv fill one %-template per batch with the
+batch's cells.  The first batch is one row, so a stream's first record
+never waits on a batch; later batches are _BATCH lines, one write each.
+_write is the one writer of stdout, for rows and help texts alike; it
+looks sys.stdout up at each call and fails like a full stdout when fd 1 or
+the stream object is closed.  gen, enum, series and family take their rows
+straight from plain (c, a, b, i, j) records through _rows, which checks
+each record with every test that Triple and its index type make on
 construction, builds neither object, and puts the primitive flag in as
-"true"/"false"; gen takes its one row from the same lattice-row generator.
-classify and verify turn their bools and Nones into text through _cells.
-verify writes one json-lines record (c_max, counts, witnesses,
-discrepancies), or in csv and table one row per set (set, count,
-witness_a, witness_b, witness_c) and a last row counting the
+"true"/"false".  classify and verify turn their bools and Nones into text
+through _cells.  verify writes one json-lines record (c_max, counts,
+witnesses, discrepancies), or in csv and table one row per set (set,
+count, witness_a, witness_b, witness_c) and a last row counting the
 discrepancies, each of which also goes to stderr as "discrepancy: <text>".
 Exit codes: 0 success (also when the reader closes stdout early, EPIPE),
 1 the first write to stdout fails (closed or full), 2 argument error, 3
@@ -39,16 +38,9 @@ import sys
 from itertools import chain, islice
 from math import gcd
 
+from . import core
 from .classify import DEFAULT_VERIFY_CEILING, classify, verify_chain
-from .core import (
-    NotInClassC,
-    Triple,
-    _check_index,
-    _check_triple,
-    _is_primitive_at,
-    _lattice_abc,
-    lattice_from_triple,
-)
+from .core import NotInClassC, Triple, _is_primitive_at, lattice_from_triple
 from .series import (
     _even_records,
     _extended_records,
@@ -98,16 +90,16 @@ def _emit(rows, fields, fmt) -> None:
     # stream.  A cell is an int or text that is printed as it is: lattice
     # and extended rows, gen's among them, carry "true"/"false" already, and
     # classify and verify pass their values through _cells; a json-lines row
-    # holds no str but JSON text that a caller encoded itself.
-    # json-lines and csv fill one %-template per call.  The first batch is
-    # one row, so a stream's first record waits on no batch; later batches
-    # are _BATCH lines to one _write.  A row that fails its check ends the
-    # batch it is in, and the lines made before it are still written.  The
-    # table format sizes its columns from the first TABLE_SIZING_ROWS rows
-    # only, so memory never follows the stream's length; a later, longer
-    # cell widens its column from there on.  An error while those rows are
-    # read leaves texts spent, so the header and the rows read before it are
-    # all that is written.
+    # holds no str but JSON text that a caller encoded itself.  json-lines
+    # and csv fill one %-template per batch, the row template once per row,
+    # with the batch's cells.  The first batch is one row, so a stream's
+    # first record waits on no batch; later batches are _BATCH lines to one
+    # _write.  A row that fails its check ends its batch, and the rows read
+    # before it are still written.  The table format sizes its columns from
+    # the first TABLE_SIZING_ROWS rows only, so memory never follows the
+    # stream's length; a later, longer cell widens its column from there on.
+    # An error while those rows are read leaves texts spent, so the header
+    # and the rows read before it are all that is written.
     if fmt == "table":
         texts = (list(map(str, row)) for row in rows)
         head: list[list[str]] = []
@@ -124,14 +116,14 @@ def _emit(rows, fields, fmt) -> None:
     rows = iter(rows)
     size = 1
     while True:
-        lines: list[str] = []
+        batch: list[tuple] = []
         try:
-            # list.extend keeps the lines made before a row raises.
-            lines.extend(map(template.__mod__, islice(rows, size)))
+            # list.extend keeps the rows read before one raises.
+            batch.extend(islice(rows, size))
         finally:
-            if lines:
-                _write("".join(lines))
-        if len(lines) < size:
+            if batch:
+                _write(template * len(batch) % tuple(chain.from_iterable(batch)))
+        if len(batch) < size:
             return
         size = _BATCH
 
@@ -140,10 +132,14 @@ def _write(text: str) -> None:
     # The one writer of stdout.  sys.stdout is looked up at each call, so a
     # stream swapped in mid-run that offers nothing but write and flush is
     # honoured.  Python starts with sys.stdout None when fd 1 is closed: that
-    # fails here, at the first write, as a full stdout would.
+    # fails here, at the first write, as a full stdout would, and so does a
+    # closed stream object, whose write raises ValueError instead.
     if sys.stdout is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+    except ValueError:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF)) from None
 
 
 def _write_table(head, rest, fields) -> None:
@@ -166,8 +162,8 @@ def _resolve_format(args: argparse.Namespace) -> str:
 
 
 def cmd_gen(args: argparse.Namespace, fmt: str) -> int:
-    a, b, c = _lattice_abc(args.m, args.n)
-    (row,) = _lattice_rows([(c, a, b, args.m, args.n)])
+    a, b, c = core._lattice_abc(args.m, args.n)
+    (row,) = _rows([(c, a, b, args.m, args.n)], "m")
     _emit([(*row, c - b, c - a)], LATTICE_FIELDS + ("d", "e"), fmt)
     return EXIT_OK
 
@@ -182,42 +178,45 @@ def cmd_inv(args: argparse.Namespace, fmt: str) -> int:
     return EXIT_OK
 
 
-def _lattice_rows(records):
-    # Lattice rows straight from (c, a, b, m, n) records, each checked first.
-    for c, a, b, m, n in records:
-        _check_index("m", m, n)
-        _check_triple(a, b, c)
-        yield m, n, a, b, c, "true" if _is_primitive_at(m, n) else "false"
-
-
-def _extended_rows(records):
-    # Extended rows straight from (c, a, b, mu, n) records, each checked first.
-    for c, a, b, mu, n in records:
-        _check_index("mu", mu, n)
-        _check_triple(a, b, c)
-        yield mu, n, a, b, c, "true" if gcd(a, b, c) == 1 else "false"
+def _rows(records, name):
+    # Rows from plain (c, a, b, i, n) records, lattice ones when name is "m"
+    # and extended ones when it is "mu".  One inline test passes just the
+    # records that pass core's _check_index and _check_triple: a and b lie
+    # below c once the identity holds, so only c meets U64_MAX, read once
+    # per stream.  A record that fails it goes through those two, in that
+    # order, and raises what they raise.
+    top = core.U64_MAX
+    lattice = name == "m"
+    for c, a, b, i, n in records:
+        if not (
+            type(i) is type(n) is type(a) is type(b) is type(c) is int
+            and i > 0 and n > 0 and a > 0 and b > 0 and 0 < c <= top
+            and a * a + b * b == c * c
+        ):
+            core._check_index(name, i, n)
+            core._check_triple(a, b, c)
+        primitive = _is_primitive_at(i, n) if lattice else gcd(a, b, c) == 1
+        yield i, n, a, b, c, "true" if primitive else "false"
 
 
 def cmd_enum(args: argparse.Namespace, fmt: str) -> int:
     if args.mode == "lattice":
-        rows = _lattice_rows(_lattice_records(args.c_max))
-        fields = LATTICE_FIELDS
+        records, name = _lattice_records, "m"
     else:
-        rows = _extended_rows(_extended_records(args.c_max))
-        fields = ("mu", "n", "a", "b", "c", "primitive")
-    _emit(rows, fields, fmt)
+        records, name = _extended_records, "mu"
+    _emit(_rows(records(args.c_max), name), (name, *LATTICE_FIELDS[1:]), fmt)
     return EXIT_OK
 
 
 def cmd_series(args: argparse.Namespace, fmt: str) -> int:
     records = _odd_records if args.kind == "odd" else _even_records
-    _emit(_lattice_rows(records(args.index, args.c_max)), LATTICE_FIELDS, fmt)
+    _emit(_rows(records(args.index, args.c_max), "m"), LATTICE_FIELDS, fmt)
     return EXIT_OK
 
 
 def cmd_family(args: argparse.Namespace, fmt: str) -> int:
     records = _pythagorean_records if args.kind == "pythagorean" else _platonic_records
-    _emit(_lattice_rows(records(args.count)), LATTICE_FIELDS, fmt)
+    _emit(_rows(records(args.count), "m"), LATTICE_FIELDS, fmt)
     return EXIT_OK
 
 
@@ -383,23 +382,24 @@ def build_parser() -> argparse.ArgumentParser:
 def _note(text: str) -> None:
     # The one writer of stderr.  A stderr that is closed or cannot be
     # written loses the line, never the exit code: after a failed write fd 2
-    # points at devnull, so the interpreter's final flush stays quiet too.
+    # points at devnull, so the interpreter's final flush stays quiet too.  A
+    # closed stream object raises ValueError, not OSError.
     if sys.stderr is None:
         return
     try:
         sys.stderr.write(text + "\n")
         sys.stderr.flush()
-    except OSError:
+    except (OSError, ValueError):
         _silence(sys.stderr)
 
 
 def _silence(stream) -> None:
     # Point the stream's file descriptor at devnull.  A stream with no
-    # usable descriptor, such as one that offers only write and flush, or an
-    # io.StringIO, is left as it is.
+    # usable descriptor, such as one that offers only write and flush, an
+    # io.StringIO or a closed stream object, is left as it is.
     try:
         fd = stream.fileno()
-    except (AttributeError, OSError):
+    except (AttributeError, OSError, ValueError):
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)

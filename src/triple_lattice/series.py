@@ -1,5 +1,8 @@
 """Bounded, ordered streaming of triple series and whole lattice slices.
 
+Both forms are columns of one quadratic: column r holds, for j = 1, 2, ...,
+(a, b, c) = (r(r + 2j), 2j(j + r), r(r + 2j) + 2j^2), with r = 2m - 1 on
+the lattice (column m, step 2) and r = mu in the extended form (step 1).
 Every stream walks a line of the index lattice on which c rises (a
 column, a row, the diagonal) or merges all columns, carrying plain
 (c, a, b, i, j) tuples; Triple and index objects are built only at the
@@ -13,8 +16,8 @@ time, which bounds every component it can yield.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable, Iterable, Iterator
+from heapq import heappop, heappush, heapreplace
 from itertools import count, repeat
 
 from .core import (
@@ -22,7 +25,6 @@ from .core import (
     ExtendedIndex,
     LatticeIndex,
     Triple,
-    _extended_abc,
     _lattice_abc,
     _require_positive_int,
     triple_from_lattice,
@@ -44,7 +46,10 @@ __all__ = [
 #: Hypotenuse of the smallest triple; bounds below it yield empty streams.
 MIN_HYPOTENUSE = 5
 
-#: A forward formula (i, j) -> (a, b, c) on plain ints, and a stream element.
+#: A forward formula (i, j) -> (a, b, c) on plain ints, as the walks along
+#: one line take it, and a stream element.  Both forms are the quadratic
+#: above, (r(r + 2j), 2j(j + r), r(r + 2j) + 2j^2); _merge computes it
+#: inline from its column step instead, 2 on the lattice and 1 extended.
 _Form = Callable[[int, int], tuple[int, int, int]]
 _Record = tuple[int, int, int, int, int]
 
@@ -64,36 +69,41 @@ def _walk(form: _Form, points: Iterable[tuple[int, int]], c_max: int) -> Iterato
         yield c, a, b, i, j
 
 
-def _merge(form: _Form, c_max: int) -> Iterator[_Record]:
-    """Yield (c, a, b, i, j) over every column i of form, c then a ascending.
+def _merge(step: int, c_max: int) -> Iterator[_Record]:
+    """Yield (c, a, b, i, j) over every column i, c then a ascending.
 
-    The heap holds one record per admitted column; column i + 1 joins when
-    column i's head (j = 1) is emitted.  c rises along each column and heads
-    rise with i, so no unadmitted column holds an earlier record, and memory
-    follows the columns the frontier has reached, not c_max.  The least
-    record is read at heap[0] and then replaced by its column successor, or
-    popped when that passes c_max: one heap sift per record.  Keys are
-    unique, so no tie can make the order depend on the heap's layout.
+    Column i has r = step*(i - 1) + 1: step 2 gives the lattice (r = 2m - 1)
+    and step 1 the extended form (r = mu).  Its records are the quadratic
+    (r(r + 2j), 2j(j + r), r(r + 2j) + 2j^2), computed here inline: along a
+    column c - b = r^2 stays put, so from j to j + 1 a rises by 2r and b and
+    c by 2(r + 2j + 1).  The heap holds one record per admitted column;
+    column i + 1 joins when column i's head (j = 1) is emitted.  c rises
+    along each column and heads rise with i, so no unadmitted column holds
+    an earlier record, and memory follows the columns the frontier has
+    reached, not c_max.  The least record is read at heap[0] and then
+    replaced by its column successor, or popped when that passes c_max: one
+    heap sift per record.  Keys are unique, so no tie can make the order
+    depend on the heap's layout.
     """
-    heap: list[_Record] = []
-
-    def push(i: int, j: int) -> None:
-        a, b, c = form(i, j)
-        if c <= c_max:
-            heapq.heappush(heap, (c, a, b, i, j))
-
-    push(1, 1)
+    # Column 1 has r = 1 in both forms; its head is (3, 4, 5).
+    heap: list[_Record] = [(5, 3, 4, 1, 1)] if c_max >= 5 else []
+    shift = 1 - step
     while heap:
         record = heap[0]
         yield record
-        _, _, _, i, j = record
-        a, b, c = form(i, j + 1)
+        c, a, b, i, j = record
+        r = step * i + shift
+        rise = 2 * (r + j + j + 1)
+        c += rise
         if c <= c_max:
-            heapq.heapreplace(heap, (c, a, b, i, j + 1))
+            heapreplace(heap, (c, a + r + r, b + rise, i, j + 1))
         else:
-            heapq.heappop(heap)
+            heappop(heap)
         if j == 1:
-            push(i + 1, 1)
+            r += step
+            a = r * (r + 2)
+            if a + 2 <= c_max:
+                heappush(heap, (a + 2, a, 2 * r + 2, i + 1, 1))
 
 
 def _triples(records: Iterator[_Record]) -> Iterator[Triple]:
@@ -114,12 +124,12 @@ def _even_records(n: int, c_max: int) -> Iterator[_Record]:
 
 def _lattice_records(c_max: int) -> Iterator[_Record]:
     _check_bound(c_max)
-    return _merge(_lattice_abc, c_max)
+    return _merge(2, c_max)
 
 
 def _extended_records(c_max: int) -> Iterator[_Record]:
     _check_bound(c_max)
-    return _merge(_extended_abc, c_max)
+    return _merge(1, c_max)
 
 
 def _pythagorean_records(count: int) -> Iterator[_Record]:

@@ -27,7 +27,6 @@ from triple_lattice import (
     odd_series,
     platonic_family,
     pythagorean_family,
-    series,
     triple_from_lattice,
     verify_chain,
 )
@@ -509,17 +508,30 @@ def test_single_row_commands_print_pinned_bytes(run, argv, fmt):
     assert run(*argv, "--format", fmt) == (code, out[fmt], err)
 
 
+# The record sources cli reads, by the forward formula their records follow.
+RECORD_SOURCES = {
+    "_lattice_abc": (
+        "_lattice_records", "_odd_records", "_even_records",
+        "_pythagorean_records", "_platonic_records",
+    ),
+    "_extended_abc": ("_extended_records",),
+}
+
+
 def corrupt_form(monkeypatch, name, point):
-    # Every stream reads its forward formula as a module global of core or
-    # series; make it return c + 2 at one point, wherever it is read.
-    form = getattr(core, name)
+    # Make every record source that cli reads and whose records follow the
+    # formula name yield c + 2 at one point (i, j).  At the points used no
+    # other record's c lies in (c, c + 2], so the bad record keeps its place.
+    for source_name in RECORD_SOURCES[name]:
+        source = getattr(cli, source_name)
 
-    def corrupted(i, j):
-        a, b, c = form(i, j)
-        return (a, b, c + 2) if (i, j) == point else (a, b, c)
+        def corrupted(*args, source=source):
+            return (
+                (c + 2 if (i, j) == point else c, a, b, i, j)
+                for c, a, b, i, j in source(*args)
+            )
 
-    for module in (core, series):
-        monkeypatch.setattr(module, name, corrupted)
+        monkeypatch.setattr(cli, source_name, corrupted)
 
 
 # (formula, corrupted point, argv, json-lines records before the error, stderr)
@@ -554,6 +566,28 @@ def test_every_streamed_record_is_checked(run, monkeypatch, form, point, argv, b
         assert list(map(cells, out.splitlines())) == list(
             map(cells, clean[fmt][:printed])
         )
+
+
+@pytest.mark.parametrize(
+    "source,corrupt,argv,err",
+    [
+        ("_lattice_records", lambda c, a, b, m, n: (c, a, b, m * (c != 65), n),
+         ("enum", "--c-max", "500"), "error: m must be >= 1, got 0\n"),
+        ("_extended_records", lambda c, a, b, mu, n: (c, a, b, mu, n * (c != 40)),
+         ("enum", "--c-max", "500", "--mode", "extended"), "error: n must be >= 1, got 0\n"),
+        # A bad index is named before a bad triple in the same record.
+        ("_lattice_records", lambda c, a, b, m, n: (c + 2 * (c == 65), a, b, m * (c != 65), n),
+         ("enum", "--c-max", "500"), "error: m must be >= 1, got 0\n"),
+    ],
+)
+def test_every_streamed_index_is_checked(run, monkeypatch, source, corrupt, argv, err):
+    # The first bad record is the 11th in both modes.
+    clean = run(*argv)[1].splitlines()
+    records = getattr(cli, source)
+    monkeypatch.setattr(cli, source, lambda c_max: (corrupt(*r) for r in records(c_max)))
+    code, out, error = run(*argv)
+    assert (code, error) == (2, err)
+    assert out.splitlines() == clean[:10]
 
 
 @pytest.mark.parametrize(
@@ -598,6 +632,36 @@ def test_emit_writes_the_first_row_before_it_asks_for_the_second(monkeypatch, fm
     header = "k\n" if fmt == "csv" else ""
     assert seen == [header + line(0)]
     assert sink.text == header + "".join(map(line, range(1000)))
+
+
+class _Chunks(_WriteOnly):
+    # A write-only stand-in for sys.stdout that also keeps each write.
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def write(self, s):
+        self.chunks.append(s)
+        return super().write(s)
+
+
+@pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+def test_emit_fills_each_batch_as_one_template_per_row(monkeypatch, fmt):
+    # 700 rows of int and text cells run through the first batch of one
+    # row, two full batches and a remainder, each one write; a batch's
+    # lines must equal the row template filled once per row.
+    fields = ("k", "word", "square", "flag")
+    rows = [(k, f'"w{k}"', k * k, "true" if k % 3 else "false") for k in range(700)]
+    sink = _Chunks()
+    monkeypatch.setattr(sys, "stdout", sink)
+    cli._emit(iter(rows), fields, fmt)
+    if fmt == "json-lines":
+        header, template = [], '{"k":%s,"word":%s,"square":%s,"flag":%s}\n'
+    else:
+        header, template = ["k,word,square,flag\n"], "%s,%s,%s,%s\n"
+    lines = [template % row for row in rows]
+    batches = [lines[:1], lines[1:257], lines[257:513], lines[513:]]
+    assert sink.chunks == header + ["".join(batch) for batch in batches]
 
 
 # A subcommand's parser is built, with its arguments, only when it parses,

@@ -308,6 +308,34 @@ def test_stream_without_a_descriptor_keeps_the_exit_code(
     assert capsys.readouterr() == ("", err)
 
 
+def _closed_stringio():
+    stream = io.StringIO()
+    stream.close()
+    return stream
+
+
+EBADF_LINE = f"error: cannot write to stdout: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+
+
+@pytest.mark.parametrize(
+    "name,argv,exit_code,err",
+    [
+        ("stdout", ["gen", "2", "3"], 1, EBADF_LINE),
+        ("stdout", ["gen", "--help"], 1, EBADF_LINE),
+        ("stderr", ["gen", "4294967296", "1"], 3, ""),
+    ],
+    ids=["stdout", "stdout-help", "stderr"],
+)
+def test_closed_stream_object_fails_like_a_closed_descriptor(
+    name, argv, exit_code, err, monkeypatch, capsys
+):
+    # A closed Python stream raises ValueError where a closed descriptor
+    # raises OSError; the run still ends as it would with the fd closed.
+    monkeypatch.setattr(sys, name, _closed_stringio())
+    assert main(argv) == exit_code
+    assert capsys.readouterr() == ("", err)
+
+
 def test_importing_the_cli_leaves_json_unloaded():
     # Only verify's json-lines record needs json; no other run pays for it.
     code, out, err = _run("-c", "import sys, triple_lattice.cli; print('json' in sys.modules)")
