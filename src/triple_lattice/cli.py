@@ -23,10 +23,10 @@ Exit codes: 0 success (also when the reader closes stdout early, EPIPE),
 overflow (a result or --c-max above 2^64 - 1), 4 not in the lattice class,
 5 verification discrepancy.  A command that fails before it writes keeps
 its own code.  Every stderr line goes through _note, so a stderr that
-cannot be written loses its lines but never changes the exit code.  main
-builds a new parser on every call, but a subcommand's parser is built,
-with its arguments and defaults, only when it is the one that parses;
-until then its add_argument and set_defaults return None.
+cannot be written loses its lines but never changes the exit code.  Each
+subcommand is declared once, in _COMMANDS.  main builds a new parser on
+every call, but a subcommand's parser is built from its entry only when
+it is the one that parses.
 """
 
 from __future__ import annotations
@@ -279,6 +279,35 @@ def cmd_verify(args: argparse.Namespace, fmt: str) -> int:
     return EXIT_OK if report.ok else EXIT_DISCREPANCY
 
 
+_INT = {"type": _positive_int}
+_C_MAX = {**_INT, "required": True}
+
+# Each subcommand once, in help order: its help line, its handler and its
+# arguments, each name with its add_argument keywords.  _Command adds
+# --format to every one, last.
+_COMMANDS = {
+    "gen": ("triple at lattice point (m, n)", cmd_gen, {"m": _INT, "n": _INT}),
+    "inv": ("lattice point of a triple (a, b, c)", cmd_inv, {"a": _INT, "b": _INT, "c": _INT}),
+    "enum": ("all triples with hypotenuse up to a bound", cmd_enum, {
+        "--c-max": _C_MAX,
+        "--mode": {"choices": ("lattice", "extended"), "default": "lattice"},
+    }),
+    "series": ("one odd(m) or even(n) series", cmd_series, {
+        "kind": {"choices": ("odd", "even")}, "index": _INT, "--c-max": _C_MAX,
+    }),
+    "classify": ("membership in the chain P > E > C > P0", cmd_classify, {
+        "a": _INT, "b": _INT, "c": _INT,
+    }),
+    "verify": ("cross-check the chain against the oracle", cmd_verify, {
+        "--c-max": _C_MAX, "--oracle-ceiling": {**_INT, "default": DEFAULT_VERIFY_CEILING},
+    }),
+    "family": ("prefix of the Pythagorean or Platonic family", cmd_family, {
+        "kind": {"choices": ("pythagorean", "platonic")}, "--count": {**_INT, "default": 10},
+    }),
+}
+_FORMAT = {"choices": FORMATS, "help": f"output format (default: ${FORMAT_ENV} or json-lines)"}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse's own _print_message swallows a failed write.  Here a help
     # text for stdout, or for None, which argparse passes when fd 1 is
@@ -298,29 +327,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Command(_Parser):
-    # One subcommand's parser, built only when argparse first hands it
-    # arguments to parse, the only way argparse reaches it.  Until then it
-    # keeps its constructor's keywords and the add_argument and set_defaults
-    # calls it is given, each of which returns None, and parse_known_args
-    # replays them in the same order.  A run so builds the parser of the one
-    # command it runs, not all seven.
-    def __init__(self, **kwargs):
-        self._pending = [(super().__init__, (), kwargs)]
-
-    def add_argument(self, *args, **kwargs):
-        if self._pending is None:
-            return super().add_argument(*args, **kwargs)
-        self._pending.append((super().add_argument, args, kwargs))
-
-    def set_defaults(self, **kwargs):
-        if self._pending is None:
-            return super().set_defaults(**kwargs)
-        self._pending.append((super().set_defaults, (), kwargs))
+    # One subcommand's parser, built from its _COMMANDS entry only when
+    # argparse first hands it arguments to parse, the only way argparse
+    # reaches it.  A run so builds the parser of the one command it runs,
+    # not all seven.
+    def __init__(self, *, command, **kwargs):
+        self._command, self._kwargs = command, kwargs
 
     def parse_known_args(self, args=None, namespace=None):
-        pending, self._pending = self._pending, None
-        for call, call_args, call_kwargs in pending or ():
-            call(*call_args, **call_kwargs)
+        if self._kwargs is not None:
+            super().__init__(**self._kwargs)
+            self._kwargs = None
+            for name, kwargs in {**_COMMANDS[self._command][2], "--format": _FORMAT}.items():
+                self.add_argument(name, **kwargs)
         return super().parse_known_args(args, namespace)
 
 
@@ -334,48 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True, prog=parser.prog, parser_class=_Command
     )
-
-    p = sub.add_parser("gen", help="triple at lattice point (m, n)")
-    p.add_argument("m", type=_positive_int)
-    p.add_argument("n", type=_positive_int)
-    p.set_defaults(handler=cmd_gen)
-
-    p = sub.add_parser("inv", help="lattice point of a triple (a, b, c)")
-    p.add_argument("a", type=_positive_int)
-    p.add_argument("b", type=_positive_int)
-    p.add_argument("c", type=_positive_int)
-    p.set_defaults(handler=cmd_inv)
-
-    p = sub.add_parser("enum", help="all triples with hypotenuse up to a bound")
-    p.add_argument("--c-max", type=_positive_int, required=True)
-    p.add_argument("--mode", choices=("lattice", "extended"), default="lattice")
-    p.set_defaults(handler=cmd_enum)
-
-    p = sub.add_parser("series", help="one odd(m) or even(n) series")
-    p.add_argument("kind", choices=("odd", "even"))
-    p.add_argument("index", type=_positive_int)
-    p.add_argument("--c-max", type=_positive_int, required=True)
-    p.set_defaults(handler=cmd_series)
-
-    p = sub.add_parser("classify", help="membership in the chain P > E > C > P0")
-    p.add_argument("a", type=_positive_int)
-    p.add_argument("b", type=_positive_int)
-    p.add_argument("c", type=_positive_int)
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("verify", help="cross-check the chain against the oracle")
-    p.add_argument("--c-max", type=_positive_int, required=True)
-    p.add_argument("--oracle-ceiling", type=_positive_int, default=DEFAULT_VERIFY_CEILING)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("family", help="prefix of the Pythagorean or Platonic family")
-    p.add_argument("kind", choices=("pythagorean", "platonic"))
-    p.add_argument("--count", type=_positive_int, default=10)
-    p.set_defaults(handler=cmd_family)
-
-    format_help = f"output format (default: ${FORMAT_ENV} or json-lines)"
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=FORMATS, help=format_help)
+    for name, (text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=text, command=name)
     return parser
 
 
@@ -417,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
             # stdout is buffered, at the flush below.
             code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         else:
-            code = args.handler(args, _resolve_format(args))
+            code = _COMMANDS[args.command][1](args, _resolve_format(args))
         if sys.stdout is not None:
             sys.stdout.flush()
         return code

@@ -6,17 +6,18 @@ the lattice (column m, step 2) and r = mu in the extended form (step 1).
 Every stream walks a line of the index lattice on which c rises (a
 column, a row, the diagonal) or merges all columns, carrying plain
 (c, a, b, i, j) tuples; Triple and index objects are built only at the
-public edge.  The CLI's row generators and verify_chain take the same
-records and run the constructors' tests, core._check_index and then
-core._check_triple, on each in their own loops, without building the
-objects.  Streams are single-consumer iterators; merged slices come out c
+public edge.  cli._rows takes the same records and runs one inline test
+that passes just what the constructors' tests pass, falling back to
+core._check_index and then core._check_triple on a record that fails it;
+verify_chain runs those two on every record.  Neither builds the objects.
+Streams are single-consumer iterators; merged slices come out c
 ascending, then a.  Each stream checks c_max <= U64_MAX once, at call
 time, which bounds every component it can yield.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from heapq import heappop, heappush, heapreplace
 from itertools import count, repeat
 
@@ -46,11 +47,7 @@ __all__ = [
 #: Hypotenuse of the smallest triple; bounds below it yield empty streams.
 MIN_HYPOTENUSE = 5
 
-#: A forward formula (i, j) -> (a, b, c) on plain ints, as the walks along
-#: one line take it, and a stream element.  Both forms are the quadratic
-#: above, (r(r + 2j), 2j(j + r), r(r + 2j) + 2j^2); _merge computes it
-#: inline from its column step instead, 2 on the lattice and 1 extended.
-_Form = Callable[[int, int], tuple[int, int, int]]
+#: A stream element, (c, a, b, i, j) on plain ints.
 _Record = tuple[int, int, int, int, int]
 
 
@@ -60,10 +57,10 @@ def _check_bound(c_max: int) -> None:
         raise OverflowError(f"c_max = {c_max} exceeds the checked 64-bit width")
 
 
-def _walk(form: _Form, points: Iterable[tuple[int, int]], c_max: int) -> Iterator[_Record]:
-    """Yield (c, a, b, i, j) at each point (i, j) in turn until c > c_max."""
+def _walk(points: Iterable[tuple[int, int]], c_max: int) -> Iterator[_Record]:
+    """Yield (c, a, b, i, j) at each lattice point (i, j) in turn until c > c_max."""
     for i, j in points:
-        a, b, c = form(i, j)
+        a, b, c = _lattice_abc(i, j)
         if c > c_max:
             return
         yield c, a, b, i, j
@@ -113,13 +110,13 @@ def _triples(records: Iterator[_Record]) -> Iterator[Triple]:
 def _odd_records(m: int, c_max: int) -> Iterator[_Record]:
     _require_positive_int("m", m)
     _check_bound(c_max)
-    return _walk(_lattice_abc, zip(repeat(m), count(1)), c_max)
+    return _walk(zip(repeat(m), count(1)), c_max)
 
 
 def _even_records(n: int, c_max: int) -> Iterator[_Record]:
     _require_positive_int("n", n)
     _check_bound(c_max)
-    return _walk(_lattice_abc, zip(count(1), repeat(n)), c_max)
+    return _walk(zip(count(1), repeat(n)), c_max)
 
 
 def _lattice_records(c_max: int) -> Iterator[_Record]:
@@ -138,12 +135,12 @@ def _pythagorean_records(count: int) -> Iterator[_Record]:
     c rises along a family, so the last member's c bounds the walk and it
     never stops early; a member past U64_MAX fails its own check instead.
     """
-    return _walk(_lattice_abc, zip(repeat(1), range(1, count + 1)), _lattice_abc(1, count)[2])
+    return _walk(zip(repeat(1), range(1, count + 1)), _lattice_abc(1, count)[2])
 
 
 def _platonic_records(count: int) -> Iterator[_Record]:
     """The first count members of the Platonic family (n = 1), bounded alike."""
-    return _walk(_lattice_abc, zip(range(1, count + 1), repeat(1)), _lattice_abc(count, 1)[2])
+    return _walk(zip(range(1, count + 1), repeat(1)), _lattice_abc(count, 1)[2])
 
 
 def odd_series(m: int, c_max: int) -> Iterator[Triple]:
@@ -197,4 +194,4 @@ def platonic_family(m: int) -> Triple:
 def diagonal_multiples(c_max: int) -> Iterator[Triple]:
     """Stream the n = 2m-1 diagonal: the k-th element is (2k-1)^2 * (3, 4, 5)."""
     _check_bound(c_max)
-    return _triples(_walk(_lattice_abc, ((m, 2 * m - 1) for m in count(1)), c_max))
+    return _triples(_walk(((m, 2 * m - 1) for m in count(1)), c_max))

@@ -162,6 +162,10 @@ def test_enum_requires_bound(run):
     assert code == 2
 
 
+def test_enum_mode_defaults_to_lattice(run):
+    assert run("enum", "--c-max", "200") == run("enum", "--c-max", "200", "--mode", "lattice")
+
+
 # ---------------------------------------------------------------------- series
 
 
@@ -313,6 +317,14 @@ def test_verify_bound_above_ceiling(run):
     assert "ceiling" in err
 
 
+def test_verify_oracle_ceiling_defaults_to_one_million(run):
+    assert run("verify", "--c-max", "1000001") == (
+        2,
+        "",
+        "error: c_max = 1000001 exceeds the oracle ceiling 1000000\n",
+    )
+
+
 def test_verify_runs_past_the_oracle_ceiling(run):
     code, out, err = run("verify", "--c-max", "10001")
     assert (code, err) == (0, "")
@@ -330,6 +342,12 @@ def test_family_pythagorean(run):
         (5, 12, 13),
         (7, 24, 25),
     ]
+
+
+def test_family_count_defaults_to_ten(run):
+    code, out, _ = run("family", "pythagorean")
+    assert code == 0
+    assert len(lines(out)) == 10
 
 
 def test_family_platonic(run):
@@ -827,6 +845,13 @@ def test_a_run_builds_only_the_parser_it_parses_with(monkeypatch):
         (lambda: main(["enum", "--c-max", "10"]), 2),
         (lambda: main(["--help"]), 1),
         (lambda: main(["bogus"]), 1),
+        (lambda: main(["gen", "2", "3"]), 2),
+        (lambda: main(["inv", "3", "4", "5"]), 2),
+        (lambda: main(["enum", "--c-max", "5", "--mode", "extended"]), 2),
+        (lambda: main(["series", "odd", "1", "--c-max", "5"]), 2),
+        (lambda: main(["classify", "3", "4", "5"]), 2),
+        (lambda: main(["verify", "--c-max", "5"]), 2),
+        (lambda: main(["family", "platonic", "--count", "1"]), 2),
     ]:
         built.clear()
         call()
