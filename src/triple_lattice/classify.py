@@ -28,6 +28,7 @@ from .core import (
     Triple,
     _check_index,
     _check_triple,
+    _in_order,
     _is_primitive_at,
     _require_positive_int,
     canonicalize,
@@ -112,9 +113,7 @@ def classify(x: int, y: int, z: int) -> ClassReport:
     lo, mid, hi = sorted((x, y, z))
     if lo * lo + mid * mid != hi * hi:
         return _NOT_A_TRIPLE
-    # canonicalize's orientation on the sorted legs: odd leg first when the
-    # parities differ, else ascending as sorted.
-    if mid % 2 and not lo % 2:
+    if not _in_order(lo, mid):
         lo, mid = mid, lo
     t = Triple(lo, mid, hi)
     scale = gcd(lo, mid, hi)
@@ -189,12 +188,13 @@ def _berggren_primitives(c_max: int):
 def _tree_multiples(c_max: int):
     """Yield (a, b, c, k) for k times each tree primitive, c <= c_max.
 
-    The orientation is brute_force_triples's: odd leg first for odd k, legs
-    ascending for even k.  The triples are not checked here:
-    berggren_triples builds each as a Triple, and verify_chain runs
-    _check_triple on each.
+    The triples come out as plain tuples, unchecked: berggren_triples
+    builds each as a Triple, and verify_chain runs _check_triple on each.
     """
     for a, b, c in _berggren_primitives(c_max):
+        # core._in_order's orientation, settled once per primitive: an odd k
+        # keeps one leg odd, so it goes first; an even k makes both legs
+        # even, so they ascend.
         odd, even = (a, b) if a % 2 else (b, a)
         lo, hi = (a, b) if a < b else (b, a)
         for k in range(1, c_max // c + 1):
@@ -314,7 +314,7 @@ def verify_chain(
             h = hash((a, b, c))
             c_gap[i] -= h
         else:
-            h = hash((a, b, c) if a < b else (b, a, c))
+            h = hash((a, b, c) if _in_order(a, b) else (b, a, c))
             if witness_e_not_c is None:
                 witness_e_not_c = (a, b, c)
         e_gap[i] += h
@@ -368,11 +368,13 @@ def _name_discrepancies(c_max: int, bands: set[int], in_e: set[int]) -> tuple[st
     """Walk the routes again, build sets over the given c-bands only, and
     name what differs there, in the order and words of a whole-set compare.
 
-    A band whose sums agree holds no discrepancy of any kind below, so the
-    texts (counts, samples, the first repeat or mismatch in stream order)
-    are those a compare of the whole sets would give.  The last three
-    checks, against the tree's prediction of E and for repeated tree
-    multiples, name only triples no earlier check names.  Each route is
+    The sets hold the routes' plain (a, b, c) tuples, which verify_chain's
+    first pass has already checked, each compared in core._in_order's
+    orientation.  A band whose sums agree holds no discrepancy of any kind
+    below, so the texts (counts, samples, the first repeat or mismatch in
+    stream order) are those a compare of the whole sets would give.  The
+    last three checks, against the tree's prediction of E and for repeated
+    tree multiples, name only triples no earlier check names.  Each route is
     walked only up to top, the highest named band's upper c (c_max for the
     overflow band), as below any bound it yields the same records in the
     same order: the streams run in (c, a) order, the tree cuts a branch at
@@ -384,48 +386,46 @@ def _name_discrepancies(c_max: int, bands: set[int], in_e: set[int]) -> tuple[st
     def inside(c: int) -> bool:
         return ((c - 1) * _BANDS // c_max if c <= c_max else _BANDS) in bands
 
-    tree = [(Triple(a, b, c), k) for a, b, c, k in _tree_multiples(top) if inside(c)]
+    def oriented(t: tuple[int, int, int]) -> tuple[int, int, int]:
+        a, b, c = t
+        return t if _in_order(a, b) else (b, a, c)
+
+    tree = [((a, b, c), k) for a, b, c, k in _tree_multiples(top) if inside(c)]
     p_set = {t for t, _ in tree}
     p0_set = {t for t, k in tree if k == 1}
     e_predicted = {t for t, k in tree if k in in_e}
-    c_pairs = [
-        ((m, n), Triple(a, b, c)) for c, a, b, m, n in _lattice_records(top) if inside(c)
-    ]
+    c_pairs = [((m, n), (a, b, c)) for c, a, b, m, n in _lattice_records(top) if inside(c)]
     c_set = {t for _, t in c_pairs}
-    e_records = [Triple(a, b, c) for c, a, b, _, _ in _extended_records(top) if inside(c)]
-    e_set = {canonicalize(t) for t in e_records}
+    e_records = [(a, b, c) for c, a, b, _, _ in _extended_records(top) if inside(c)]
+    e_set = set(map(oriented, e_records))
 
     discrepancies: list[str] = []
-    named: set[Triple] = set()
+    named: set[tuple[int, int, int]] = set()
 
-    def leak(kind: str, extras, sample: Triple | None = None) -> None:
+    def leak(kind: str, extras, sample: tuple[int, int, int] | None = None) -> None:
         if extras:
-            sample = sample or min(extras, key=lambda t: (t.c, t.a))
-            discrepancies.append(
-                f"{len(extras)} {kind}, e.g. ({sample.a}, {sample.b}, {sample.c})"
-            )
-            named.update(map(canonicalize, extras))
+            sample = sample or min(extras, key=lambda t: (t[2], t[0]))
+            discrepancies.append(f"{len(extras)} {kind}, e.g. {sample}")
+            named.update(map(oriented, extras))
 
     def repeats(stream: str, records) -> None:
-        seen: set[Triple] = set()
-        rep = [t for t in records if (k := canonicalize(t)) in seen or seen.add(k)]
+        seen: set[tuple[int, int, int]] = set()
+        rep = [t for t in records if (k := oriented(t)) in seen or seen.add(k)]
         leak(f"duplicate records in the {stream} stream", rep, rep and rep[0])
 
     leak("Euclid triples missing from the oracle set", e_set - p_set)
     leak("lattice triples missing from the Euclid set", c_set - e_set)
     leak("primitive triples missing from the lattice set", p0_set - c_set)
     # The lattice set must be exactly the Euclid set minus its all-even
-    # members (an all-even member keeps both legs even after canonicalizing).
-    not_all_even = {t for t in e_set if t.a % 2 or t.b % 2}
+    # members (an all-even member keeps both legs even when oriented).
+    not_all_even = {t for t in e_set if t[0] % 2 or t[1] % 2}
     leak("lattice triples outside Euclid-minus-all-even", c_set - not_all_even)
     leak("Euclid-minus-all-even triples missing from the lattice", not_all_even - c_set)
     repeats("lattice", (t for _, t in c_pairs))
     repeats("Euclid", e_records)
     for (m, n), t in c_pairs:
         if _is_primitive_at(m, n) != (t in p0_set):
-            discrepancies.append(
-                f"primitivity mismatch at (m={m}, n={n}): ({t.a}, {t.b}, {t.c})"
-            )
+            discrepancies.append(f"primitivity mismatch at (m={m}, n={n}): {t}")
             named.add(t)
             break
     # What the checks above left unnamed, such as a dropped all-even record.

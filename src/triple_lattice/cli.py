@@ -404,8 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         # Point stdout at devnull so the interpreter's final flush of what
         # could not be written stays quiet.  EPIPE means the reader stopped
         # early (`... | head -1`): a clean exit.
-        if sys.stdout is not None:
-            _silence(sys.stdout)
+        _silence(sys.stdout)
         if isinstance(exc, BrokenPipeError):
             return EXIT_OK
         _note(f"error: cannot write to stdout: {exc}")

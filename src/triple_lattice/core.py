@@ -206,13 +206,13 @@ def canonicalize(t: Triple) -> Triple:
     When both legs share a parity (necessarily both even) the legs are
     ordered ascending instead.
     """
-    if (t.a + t.b) % 2:
-        if t.a % 2:
-            return t
-        return Triple(t.b, t.a, t.c)
-    if t.a <= t.b:
-        return t
-    return Triple(t.b, t.a, t.c)
+    return t if _in_order(t.a, t.b) else Triple(t.b, t.a, t.c)
+
+
+def _in_order(a: int, b: int) -> bool:
+    """True iff legs (a, b) are canonically oriented, on plain ints: the odd
+    leg first when the parities differ, else ascending."""
+    return a % 2 == 1 if (a + b) % 2 else a <= b
 
 
 def triple_from_lattice(idx: LatticeIndex) -> Triple:
@@ -276,13 +276,7 @@ def extended_triple(idx: ExtendedIndex) -> Triple:
     a = mu(2n + mu), b = 2n(n + mu), c = 2n^2 + mu(2n + mu); identical to
     euclid_triple(u=n+mu, v=n).
     """
-    return Triple(*_extended_abc(idx.mu, idx.n))
-
-
-def _extended_abc(mu: int, n: int) -> tuple[int, int, int]:
-    """(a, b, c) at extended point (mu, n) as plain ints, unvalidated."""
-    a = mu * (2 * n + mu)
-    return a, 2 * n * (n + mu), 2 * n * n + a
+    return euclid_triple(EuclidParams(idx.n + idx.mu, idx.n))
 
 
 def euclid_triple(p: EuclidParams) -> Triple:

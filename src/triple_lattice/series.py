@@ -6,13 +6,9 @@ the lattice (column m, step 2) and r = mu in the extended form (step 1).
 Every stream walks a line of the index lattice on which c rises (a
 column, a row, the diagonal) or merges all columns, carrying plain
 (c, a, b, i, j) tuples; Triple and index objects are built only at the
-public edge.  cli._rows takes the same records and runs one inline test
-that passes just what the constructors' tests pass, falling back to
-core._check_index and then core._check_triple on a record that fails it;
-verify_chain runs those two on every record.  Neither builds the objects.
-Streams are single-consumer iterators; merged slices come out c
-ascending, then a.  Each stream checks c_max <= U64_MAX once, at call
-time, which bounds every component it can yield.
+public edge.  Streams are single-consumer iterators; merged slices come
+out c ascending, then a.  Each stream checks c_max <= U64_MAX once, at
+call time, which bounds every component it can yield.
 """
 
 from __future__ import annotations

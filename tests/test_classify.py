@@ -671,6 +671,30 @@ def test_naming_pass_walks_no_further_than_its_highest_band(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "name,fault",
+    [
+        ("_lattice_records", _drop_11th),
+        ("_is_primitive_at", lambda f: lambda m, n: f(m, n) != ((m, n) == (2, 3))),
+    ],
+    ids=["lattice-drop", "primitivity-flip"],
+)
+def test_faulted_verify_chain_builds_a_triple_only_per_witness(name, fault, monkeypatch):
+    # The first pass checks every record on plain ints and the naming pass
+    # compares those same plain tuples, so only the witnesses become Triples.
+    module = importlib.import_module("triple_lattice.classify")
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Triple(*args)
+
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    monkeypatch.setattr(module, "Triple", counting)
+    assert verify_chain(500).discrepancies
+    assert len(built) <= 3
+
+
+@pytest.mark.parametrize(
     "name,corrupt,message",
     [
         # k = 5 lies outside E, so only the record's own check can see it.

@@ -528,11 +528,11 @@ def test_single_row_commands_print_pinned_bytes(run, argv, fmt):
 
 # The record sources cli reads, by the forward formula their records follow.
 RECORD_SOURCES = {
-    "_lattice_abc": (
+    "lattice": (
         "_lattice_records", "_odd_records", "_even_records",
         "_pythagorean_records", "_platonic_records",
     ),
-    "_extended_abc": ("_extended_records",),
+    "extended": ("_extended_records",),
 }
 
 
@@ -554,18 +554,18 @@ def corrupt_form(monkeypatch, name, point):
 
 # (formula, corrupted point, argv, json-lines records before the error, stderr)
 CORRUPTED_RECORDS = [
-    ("_lattice_abc", (2, 3), ("enum", "--c-max", "500"), 7,
+    ("lattice", (2, 3), ("enum", "--c-max", "500"), 7,
      "error: not a Pythagorean triple: 27^2 + 36^2 != 47^2\n"),
-    ("_extended_abc", (2, 3), ("enum", "--c-max", "500", "--mode", "extended"), 8,
+    ("extended", (2, 3), ("enum", "--c-max", "500", "--mode", "extended"), 8,
      "error: not a Pythagorean triple: 16^2 + 30^2 != 36^2\n"),
-    ("_lattice_abc", (2, 3), ("series", "odd", "2", "--c-max", "500"), 2,
+    ("lattice", (2, 3), ("series", "odd", "2", "--c-max", "500"), 2,
      "error: not a Pythagorean triple: 27^2 + 36^2 != 47^2\n"),
-    ("_lattice_abc", (1, 4), ("family", "pythagorean"), 3,
+    ("lattice", (1, 4), ("family", "pythagorean"), 3,
      "error: not a Pythagorean triple: 9^2 + 40^2 != 43^2\n"),
-    ("_lattice_abc", (3, 1), ("family", "platonic"), 2,
+    ("lattice", (3, 1), ("family", "platonic"), 2,
      "error: not a Pythagorean triple: 35^2 + 12^2 != 39^2\n"),
     # Some 700 rows in, past two full batches of json-lines and csv lines.
-    ("_lattice_abc", (14, 27), ("enum", "--c-max", "5000"), 700,
+    ("lattice", (14, 27), ("enum", "--c-max", "5000"), 700,
      "error: not a Pythagorean triple: 2187^2 + 2916^2 != 3647^2\n"),
 ]
 
