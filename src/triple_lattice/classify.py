@@ -35,7 +35,7 @@ from .core import (
     euclid_params_from_triple,
     lattice_from_triple,
 )
-from .series import MIN_HYPOTENUSE, _extended_records, _lattice_records
+from .series import MIN_HYPOTENUSE, _check_bound, _extended_records, _lattice_records
 
 __all__ = [
     "DEFAULT_ORACLE_CEILING",
@@ -138,6 +138,7 @@ def _check_oracle_bound(c_max: int, oracle_ceiling: int, minimum: int = 1) -> No
         raise BoundTooLarge(
             f"c_max = {c_max} exceeds the oracle ceiling {oracle_ceiling}"
         )
+    _check_bound(c_max)
 
 
 def brute_force_triples(
@@ -147,7 +148,8 @@ def brute_force_triples(
 
     Triples are stored canonically: odd leg in position a when the leg
     parities differ, legs ascending otherwise.  Raises BoundTooLarge when
-    c_max exceeds oracle_ceiling.
+    c_max exceeds oracle_ceiling, and OverflowError when a ceiling that
+    high lets through a c_max above U64_MAX.
     """
     _check_oracle_bound(c_max, oracle_ceiling)
     squares = {c * c: c for c in range(1, c_max + 1)}

@@ -1,32 +1,19 @@
 """Command-line front end.
 
-Subcommands: gen, inv, enum, series, classify, verify, family.  Every
-command names its fields once and hands rows of values to _emit as
-json-lines (default), csv or table; json-lines and csv are byte-stable,
-table is for humans.  Rows reach _emit as ints and text, which it prints
-as they are: json-lines and csv fill one %-template per batch with the
-batch's cells.  The first batch is one row, so a stream's first record
-never waits on a batch; later batches are _BATCH lines, one write each.
-_write is the one writer of stdout, for rows and help texts alike; it
-looks sys.stdout up at each call and fails like a full stdout when fd 1 or
-the stream object is closed.  gen, enum, series and family take their rows
-straight from plain (c, a, b, i, j) records through _rows, which checks
-each record with every test that Triple and its index type make on
-construction, builds neither object, and puts the primitive flag in as
-"true"/"false".  classify and verify turn their bools and Nones into text
-through _cells.  verify writes one json-lines record (c_max, counts,
-witnesses, discrepancies), or in csv and table one row per set (set,
-count, witness_a, witness_b, witness_c) and a last row counting the
-discrepancies, each of which also goes to stderr as "discrepancy: <text>".
+Subcommands: gen, inv, enum, series, classify, verify, family.  Output is
+json-lines (default), csv or table: json-lines and csv are byte-stable,
+table is for humans.
+
 Exit codes: 0 success (also when the reader closes stdout early, EPIPE),
-1 the first write to stdout fails (closed or full), 2 argument error, 3
-overflow (a result or --c-max above 2^64 - 1), 4 not in the lattice class,
-5 verification discrepancy.  A command that fails before it writes keeps
-its own code.  Every stderr line goes through _note, so a stderr that
-cannot be written loses its lines but never changes the exit code.  Each
-subcommand is declared once, in _COMMANDS.  main builds a new parser on
-every call, but a subcommand's parser is built from its entry only when
-it is the one that parses.
+1 the first write to stdout fails, 2 argument error, 3 overflow (a result
+or --c-max above 2^64 - 1), 4 not in the lattice class, 5 verification
+discrepancy.  A command that fails before it writes keeps its own code.
+
+A stream is missing when it is None, as Python leaves sys.stdout or
+sys.stderr when fd 1 or 2 is closed at start, and closed when it is a
+stream object whose methods raise ValueError.  Both count as a stream
+that cannot be written: stdout fails at its first write, like a full one,
+and stderr loses its lines but never changes the exit code.
 """
 
 from __future__ import annotations
@@ -129,16 +116,13 @@ def _emit(rows, fields, fmt) -> None:
 
 
 def _write(text: str) -> None:
-    # The one writer of stdout.  sys.stdout is looked up at each call, so a
-    # stream swapped in mid-run that offers nothing but write and flush is
-    # honoured.  Python starts with sys.stdout None when fd 1 is closed: that
-    # fails here, at the first write, as a full stdout would, and so does a
-    # closed stream object, whose write raises ValueError instead.
-    if sys.stdout is None:
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    # The one writer of stdout, for rows and help texts alike.  sys.stdout is
+    # looked up at each call, so a stream swapped in mid-run that offers
+    # nothing but write and flush is honoured.  A missing stdout (None has no
+    # write) or a closed one fails here as EBADF, as a full one fails.
     try:
         sys.stdout.write(text)
-    except ValueError:
+    except (AttributeError, ValueError):
         raise OSError(errno.EBADF, os.strerror(errno.EBADF)) from None
 
 
@@ -309,38 +293,32 @@ _FORMAT = {"choices": FORMATS, "help": f"output format (default: ${FORMAT_ENV} o
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse's own _print_message swallows a failed write.  Here a help
-    # text for stdout, or for None, which argparse passes when fd 1 is
-    # closed, goes to _write unguarded, so main reports a stdout that cannot
-    # take it; a text for any other file is written to that file.
+    # With error overridden, argparse hands _print_message only help texts,
+    # for sys.stdout (print_help's file, None when stdout is missing); it
+    # passes stderr only for 3.13's deprecation warnings, and nothing here
+    # is deprecated.  argparse's own method swallows a failed write: _write
+    # lets it reach main instead.
     def _print_message(self, message, file=None):
-        if not message:
-            return
-        if file is None or file is sys.stdout:
-            _write(message)
-        else:
-            file.write(message)
+        _write(message)
 
     def error(self, message):
         _note(f"{self.format_usage()}{self.prog}: error: {message}")
         self.exit(EXIT_USAGE)
 
 
-class _Command(_Parser):
-    # One subcommand's parser, built from its _COMMANDS entry only when
-    # argparse first hands it arguments to parse, the only way argparse
-    # reaches it.  A run so builds the parser of the one command it runs,
-    # not all seven.
+class _Command:
+    # One subcommand's entry in the top parser's choices.  argparse (3.10 to
+    # 3.13) calls nothing on a subparser but parse_known_args, so the real
+    # parser is built there, from the command's _COMMANDS entry.  A run so
+    # builds the parser of the one command it runs, not all seven.
     def __init__(self, *, command, **kwargs):
         self._command, self._kwargs = command, kwargs
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._kwargs is not None:
-            super().__init__(**self._kwargs)
-            self._kwargs = None
-            for name, kwargs in {**_COMMANDS[self._command][2], "--format": _FORMAT}.items():
-                self.add_argument(name, **kwargs)
-        return super().parse_known_args(args, namespace)
+        parser = _Parser(**self._kwargs)
+        for name, kwargs in {**_COMMANDS[self._command][2], "--format": _FORMAT}.items():
+            parser.add_argument(name, **kwargs)
+        return parser.parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,22 +337,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _note(text: str) -> None:
-    # The one writer of stderr.  A stderr that is closed or cannot be
-    # written loses the line, never the exit code: after a failed write fd 2
-    # points at devnull, so the interpreter's final flush stays quiet too.  A
-    # closed stream object raises ValueError, not OSError.
-    if sys.stderr is None:
-        return
+    # The one writer of stderr.  A missing, closed or full stderr loses the
+    # line, never the exit code: _silence points fd 2 at devnull where it
+    # can, so the interpreter's final flush stays quiet too.
     try:
         sys.stderr.write(text + "\n")
         sys.stderr.flush()
-    except (OSError, ValueError):
+    except (AttributeError, OSError, ValueError):
         _silence(sys.stderr)
 
 
 def _silence(stream) -> None:
     # Point the stream's file descriptor at devnull.  A stream with no
-    # usable descriptor, such as one that offers only write and flush, an
+    # usable descriptor, None, one that offers only write and flush, an
     # io.StringIO or a closed stream object, is left as it is.
     try:
         fd = stream.fileno()
@@ -394,11 +369,13 @@ def main(argv: list[str] | None = None) -> int:
             # Help went to _write, a usage error to _note; a help text
             # that cannot be written raises OSError at its write or, when
             # stdout is buffered, at the flush below.
-            code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+            code = exc.code
         else:
             code = _COMMANDS[args.command][1](args, _resolve_format(args))
-        if sys.stdout is not None:
+        try:
             sys.stdout.flush()
+        except (AttributeError, ValueError):
+            pass  # A missing or closed stdout took no byte: _write would have failed.
         return code
     except OSError as exc:
         # Point stdout at devnull so the interpreter's final flush of what

@@ -70,6 +70,7 @@ def test_stream_memory_follows_the_frontier_not_the_bound(stream):
         ["enum", "--c-max", str(2**64), "--mode", "extended"],
         ["series", "odd", "1", "--c-max", str(10**23)],
         ["series", "even", "1", "--c-max", str(10**23)],
+        ["verify", "--c-max", str(2**64), "--oracle-ceiling", str(2**64)],
     ],
 )
 def test_cli_rejects_bound_past_u64_up_front(argv):
@@ -308,30 +309,40 @@ def test_stream_without_a_descriptor_keeps_the_exit_code(
     assert capsys.readouterr() == ("", err)
 
 
-def _closed_stringio():
-    stream = io.StringIO()
-    stream.close()
-    return stream
-
-
 EBADF_LINE = f"error: cannot write to stdout: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+CLOSED_STREAM_CASES = {
+    "stdout": ("stdout", ["gen", "2", "3"], 1, EBADF_LINE),
+    "stdout-help": ("stdout", ["gen", "--help"], 1, EBADF_LINE),
+    "stderr": ("stderr", ["gen", "4294967296", "1"], 3, ""),
+    # A usage error writes nothing to stdout: its stderr is what it prints
+    # with a working one.
+    "stdout-usage": ("stdout", ["gen", "0", "1"], 2, None),
+}
 
 
 @pytest.mark.parametrize(
-    "name,argv,exit_code,err",
+    "make,name,argv,exit_code,err",
     [
-        ("stdout", ["gen", "2", "3"], 1, EBADF_LINE),
-        ("stdout", ["gen", "--help"], 1, EBADF_LINE),
-        ("stderr", ["gen", "4294967296", "1"], 3, ""),
+        # A closed io.TextIOWrapper's flush raises ValueError; a closed
+        # io.StringIO's does not.
+        pytest.param(make, *case, id=prefix + case_id)
+        for prefix, make in (
+            ("", io.StringIO), ("textiowrapper-", lambda: io.TextIOWrapper(io.BytesIO()))
+        )
+        for case_id, case in CLOSED_STREAM_CASES.items()
     ],
-    ids=["stdout", "stdout-help", "stderr"],
 )
 def test_closed_stream_object_fails_like_a_closed_descriptor(
-    name, argv, exit_code, err, monkeypatch, capsys
+    make, name, argv, exit_code, err, monkeypatch, capsys
 ):
     # A closed Python stream raises ValueError where a closed descriptor
     # raises OSError; the run still ends as it would with the fd closed.
-    monkeypatch.setattr(sys, name, _closed_stringio())
+    if err is None:
+        assert main(argv) == exit_code
+        err = capsys.readouterr().err
+    stream = make()
+    stream.close()
+    monkeypatch.setattr(sys, name, stream)
     assert main(argv) == exit_code
     assert capsys.readouterr() == ("", err)
 
