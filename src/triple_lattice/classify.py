@@ -245,15 +245,17 @@ class ChainReport:
         return not self.discrepancies
 
 
-def _in_euclid(c_max: int) -> set[int]:
-    """The multipliers k for which k times a primitive is a Euclid triple.
+def _in_euclid(below: int, reach: int) -> set[int]:
+    """The multipliers k in (below, reach] for which k times a primitive is
+    a Euclid triple.
 
     k p = (u^2 - v^2, 2uv, u^2 + v^2) needs k = s^2 (u, v = s times p's
     pair) or k = 2 s^2 (u, v = s times the sum and difference of p's
     pair); k p has an odd leg, so lies in the lattice set, iff k is odd.
     """
-    roots = range(1, isqrt(c_max) + 1)
-    return {s * s for s in roots} | {2 * s * s for s in roots}
+    return {s * s for s in range(isqrt(below) + 1, isqrt(reach) + 1)} | {
+        2 * s * s for s in range(isqrt(below // 2) + 1, isqrt(reach // 2) + 1)
+    }
 
 
 def verify_chain(
@@ -265,12 +267,13 @@ def verify_chain(
     The routes are each walked once on plain ints: the Berggren tree
     multiples (P, and P0 at k = 1), the Euclid stream (E) and the lattice
     stream (C, and its rows with gcd(n, 2m - 1) = 1).  The tree also
-    predicts E from k alone (see _in_euclid).  Each set folds into a count
-    and, per c-band, a multiset hash: the sum of hash((a, b, c)) over its
-    canonically oriented triples, so memory stays flat.  Three pairs of
-    sets must have equal sums in every band: E and the tree's prediction of
-    it, C and E's odd-leg records (C is E minus its all-even triples), and
-    the primitive lattice rows and P0.  A dropped, repeated or extra record
+    predicts E from k alone (see _in_euclid), from a set of multipliers
+    that grows with the largest k walked, not with c_max.  Each set folds
+    into a count and, per c-band, a multiset hash: the sum of
+    hash((a, b, c)) over its canonically oriented triples, so memory stays
+    flat.  Three pairs of sets must have equal sums in every band: E and
+    the tree's prediction of it, C and E's odd-leg records (C is E minus
+    its all-even triples), and the primitive lattice rows and P0.  A dropped, repeated or extra record
     changes its band's sum; a record past c_max lands in the overflow band.
     Only the bands where a pair differs are rebuilt as sets, by
     _name_discrepancies, to name what differs, and only the lowest of them
@@ -285,7 +288,10 @@ def verify_chain(
     make, so an invalid record raises; so do bound errors.
     """
     _check_oracle_bound(c_max, oracle_ceiling, MIN_HYPOTENUSE)
-    in_e = _in_euclid(c_max)
+    # The Euclid multipliers up to reach, which doubles past each k that
+    # outruns it, so the set follows the walk, not c_max.
+    in_e: set[int] = set()
+    reach = 0
     # Each pair's sums as one signed sum per band: E minus its prediction,
     # C minus E's odd legs, primitive lattice rows minus P0.
     e_gap, c_gap, p0_gap = ([0] * (_BANDS + 1) for _ in range(3))
@@ -295,6 +301,9 @@ def verify_chain(
     for a, b, c, k in _tree_multiples(c_max):
         _check_triple(a, b, c)
         count_p += 1
+        if k > reach:
+            in_e |= _in_euclid(reach, 2 * k)
+            reach = 2 * k
         if k in in_e:
             i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
             h = hash((a, b, c))
@@ -381,7 +390,9 @@ def _name_discrepancies(c_max: int, bands: set[int], in_e: set[int]) -> tuple[st
     overflow band), as below any bound it yields the same records in the
     same order: the streams run in (c, a) order, the tree cuts a branch at
     its first node past the bound and children only grow, and multiples
-    run k upward.  Bands are still taken against c_max.
+    run k upward.  Bands are still taken against c_max.  in_e is the first
+    pass's multiplier set: this walk reaches no k that pass did not, so the
+    set covers every k it tests.
     """
     top = c_max if _BANDS in bands else -(-(max(bands) + 1) * c_max // _BANDS)
 

@@ -6,9 +6,14 @@ the lattice (column m, step 2) and r = mu in the extended form (step 1).
 Every stream walks a line of the index lattice on which c rises (a
 column, a row, the diagonal) or merges all columns, carrying plain
 (c, a, b, i, j) tuples; Triple and index objects are built only at the
-public edge.  Streams are single-consumer iterators; merged slices come
-out c ascending, then a.  Each stream checks c_max <= U64_MAX once, at
-call time, which bounds every component it can yield.
+public edge.  There each record passes one inline test that accepts just
+what the constructors accept (one that fails it raises what they raise),
+and each object is made by object.__new__ and the constructor's own field
+stores, with no constructor call per record, so it is indistinguishable
+from one its constructor built.  Streams are single-consumer iterators;
+merged slices come out c ascending, then a.  Each stream checks
+c_max <= U64_MAX once, at call time, which bounds every component it can
+yield.
 """
 
 from __future__ import annotations
@@ -22,8 +27,11 @@ from .core import (
     ExtendedIndex,
     LatticeIndex,
     Triple,
+    _check_index,
+    _check_triple,
     _lattice_abc,
     _require_positive_int,
+    _set,
     triple_from_lattice,
 )
 
@@ -100,7 +108,49 @@ def _merge(step: int, c_max: int) -> Iterator[_Record]:
 
 
 def _triples(records: Iterator[_Record]) -> Iterator[Triple]:
-    return (Triple(a, b, c) for c, a, b, _, _ in records)
+    # Triple(a, b, c) without the call: one inline test passes just the
+    # records _check_triple passes (a and b lie below c once the identity
+    # holds, so only c meets U64_MAX), a record that fails it raises what
+    # _check_triple raises, and the stores are __init__'s own.
+    top, new = U64_MAX, object.__new__
+    for c, a, b, _, _ in records:
+        if not (
+            type(a) is type(b) is type(c) is int
+            and a > 0 and b > 0 and 0 < c <= top
+            and a * a + b * b == c * c
+        ):
+            _check_triple(a, b, c)
+        t = new(Triple)
+        _set(t, "a", a)
+        _set(t, "b", b)
+        _set(t, "c", c)
+        yield t
+
+
+def _indexed(
+    records: Iterator[_Record], index: type[LatticeIndex | ExtendedIndex], name: str
+) -> Iterator[tuple[LatticeIndex | ExtendedIndex, Triple]]:
+    # (index(i, n), Triple(a, b, c)) without either call, as _triples builds
+    # its Triple; name is the index's first field, "m" or "mu".  A record
+    # that fails the inline test goes through _check_index and then
+    # _check_triple, the constructors' order, and raises what they raise.
+    top, new = U64_MAX, object.__new__
+    for c, a, b, i, n in records:
+        if not (
+            type(i) is type(n) is type(a) is type(b) is type(c) is int
+            and i > 0 and n > 0 and a > 0 and b > 0 and 0 < c <= top
+            and a * a + b * b == c * c
+        ):
+            _check_index(name, i, n)
+            _check_triple(a, b, c)
+        idx = new(index)
+        _set(idx, name, i)
+        _set(idx, "n", n)
+        t = new(Triple)
+        _set(t, "a", a)
+        _set(t, "b", b)
+        _set(t, "c", c)
+        yield idx, t
 
 
 def _odd_records(m: int, c_max: int) -> Iterator[_Record]:
@@ -154,8 +204,7 @@ def lattice_enumerate_indexed(c_max: int) -> Iterator[tuple[LatticeIndex, Triple
 
     Order: c ascending, then a.  Column m joins at its head, c = 4m^2 + 1.
     """
-    records = _lattice_records(c_max)
-    return ((LatticeIndex(m, n), Triple(a, b, c)) for c, a, b, m, n in records)
+    return _indexed(_lattice_records(c_max), LatticeIndex, "m")
 
 
 def lattice_enumerate(c_max: int) -> Iterator[Triple]:
@@ -168,8 +217,7 @@ def extended_enumerate_indexed(c_max: int) -> Iterator[tuple[ExtendedIndex, Trip
 
     Order: c ascending, then a.  Column mu joins at its head, c = mu^2 + 2mu + 2.
     """
-    records = _extended_records(c_max)
-    return ((ExtendedIndex(mu, n), Triple(a, b, c)) for c, a, b, mu, n in records)
+    return _indexed(_extended_records(c_max), ExtendedIndex, "mu")
 
 
 def extended_enumerate(c_max: int) -> Iterator[Triple]:

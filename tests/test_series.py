@@ -1,16 +1,25 @@
 """Unit tests for bounded series and lattice enumeration."""
 
+import copy
+import dataclasses
+import pickle
 from itertools import islice
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from triple_lattice import cli, series
 from triple_lattice.classify import brute_force_triples
 from triple_lattice.core import (
+    U64_MAX,
+    ExtendedIndex,
     LatticeIndex,
     Triple,
+    _check_index,
+    _check_triple,
     is_perfect_square,
     triple_from_lattice,
 )
@@ -263,3 +272,138 @@ def test_diagonal_multiples_are_square_scalings():
         p = 2 * k - 1
         assert (t.a, t.b, t.c) == (3 * p * p, 4 * p * p, 5 * p * p)
         assert gcd(gcd(t.a, t.b), t.c) == p * p
+
+
+# ------------------------------------------------- stream objects at the edge
+
+# The seven object streams, each with the index type it pairs its triples
+# with (None for the triple-only streams).
+_OBJECT_STREAMS = {
+    "odd_series": (lambda c_max: odd_series(3, c_max), None),
+    "even_series": (lambda c_max: even_series(2, c_max), None),
+    "lattice_enumerate": (lattice_enumerate, None),
+    "lattice_enumerate_indexed": (lattice_enumerate_indexed, LatticeIndex),
+    "extended_enumerate": (extended_enumerate, None),
+    "extended_enumerate_indexed": (extended_enumerate_indexed, ExtendedIndex),
+    "diagonal_multiples": (diagonal_multiples, None),
+}
+
+
+def _assert_built_like_its_constructor(value, cls):
+    assert type(value) is cls
+    fields = [f.name for f in dataclasses.fields(cls)]
+    built = cls(*(getattr(value, name) for name in fields))
+    assert value == built and hash(value) == hash(built)
+    assert repr(value) == repr(built)
+    assert list(vars(value).items()) == list(vars(built).items())
+    assert dataclasses.asdict(value) == dataclasses.asdict(built)
+    for copied in (
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+        dataclasses.replace(value),
+    ):
+        assert type(copied) is cls and copied == built and hash(copied) == hash(built)
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    assert vars(value) == vars(built)
+
+
+@pytest.mark.parametrize("c_max", [37, 997, 10**6, U64_MAX])
+@pytest.mark.parametrize("name", list(_OBJECT_STREAMS))
+def test_stream_objects_match_constructor_built_ones(name, c_max):
+    stream, index = _OBJECT_STREAMS[name]
+    items = list(islice(stream(c_max), 300))
+    assert items
+    for item in items:
+        if index is None:
+            _assert_built_like_its_constructor(item, Triple)
+        else:
+            idx, t = item
+            _assert_built_like_its_constructor(idx, index)
+            _assert_built_like_its_constructor(t, Triple)
+
+
+# Record fields near every edge the checks test: zero, negatives, the
+# width and one past it, bools and floats.
+_FIELD = st.one_of(
+    st.integers(-3, 6),
+    st.sampled_from([U64_MAX, U64_MAX + 1, -U64_MAX, True, False, 0.0, 3.0, 5.0]),
+    st.integers(),
+)
+
+
+@st.composite
+def _records(draw):
+    # A true triple record (c, a, b, m, n), scaled up to and past the width,
+    # legs in either order, with up to two fields replaced or negated; or
+    # five arbitrary fields.
+    if draw(st.booleans()):
+        return tuple(draw(_FIELD) for _ in range(5))
+    m, n = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+    k = draw(st.sampled_from([1, 2, 3, U64_MAX // (4 * m * m + 1) // 9, U64_MAX // 5 + 1]))
+    a, b, c = (k * v for v in series._lattice_abc(m, n))
+    if draw(st.booleans()):
+        a, b = b, a
+    record = [c, a, b, m, n]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, 4))
+        record[at] = -record[at] if draw(st.booleans()) else draw(_FIELD)
+    return tuple(record)
+
+
+def _helpers_on(records, name):
+    """The records _check_index (unless name is None) and then _check_triple
+    pass, up to the first they reject, and what that one raised."""
+    passed = []
+    for c, a, b, i, n in records:
+        try:
+            if name is not None:
+                _check_index(name, i, n)
+            _check_triple(a, b, c)
+        except (TypeError, ValueError, OverflowError) as exc:
+            return passed, exc
+        passed.append((c, a, b, i, n))
+    return passed, None
+
+
+def _drain(stream):
+    out = []
+    try:
+        for item in stream:
+            out.append(item)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return out, exc
+    return out, None
+
+
+def _same_failure(got, want):
+    assert (type(got), str(got)) == (type(want), str(want))
+
+
+@given(records=st.lists(_records(), max_size=6))
+def test_inline_record_tests_accept_exactly_what_the_helpers_accept(records):
+    source = mock.patch.multiple(
+        series,
+        _walk=lambda *args: iter(records),
+        _merge=lambda *args: iter(records),
+    )
+    for name, (stream, index) in _OBJECT_STREAMS.items():
+        field = None if index is None else "m" if index is LatticeIndex else "mu"
+        passed, raised = _helpers_on(records, field)
+        with source:
+            got, failure = _drain(stream(10**6))
+        _same_failure(failure, raised)
+        if index is None:
+            want = [Triple(a, b, c) for c, a, b, _, _ in passed]
+        else:
+            want = [(index(i, n), Triple(a, b, c)) for c, a, b, i, n in passed]
+        assert repr(got) == repr(want), name
+    for field in ("m", "mu"):
+        passed, raised = _helpers_on(records, field)
+        rows, failure = _drain(cli._rows(iter(records), field))
+        _same_failure(failure, raised)
+        assert [row[:5] for row in rows] == [(i, n, a, b, c) for c, a, b, i, n in passed]

@@ -396,3 +396,22 @@ def test_verify_names_a_fault_in_every_band_within_the_same_limit():
         "discrepancy: 58 c-bands with differing hashes left unnamed, "
         "the first starting at c = 93751",
     ]
+
+
+def test_verify_memory_follows_the_walk_at_the_64_bit_bound():
+    # The tree's multiplier set grows with the largest k walked, not with
+    # c_max, so verify at the full width keeps running in flat memory.
+    top = str(2**64 - 1)
+    proc = _child(
+        "-m", "triple_lattice.cli", "verify", "--c-max", top, "--oracle-ceiling", top,
+        limit=300 * 2**20,
+    )
+    try:
+        proc.wait(timeout=3)
+    except subprocess.TimeoutExpired:
+        pass
+    running = proc.poll() is None
+    proc.kill()
+    _, err = proc.communicate(timeout=TIMEOUT_S)
+    assert running, err
+    assert "Traceback" not in err
