@@ -268,12 +268,13 @@ def verify_chain(
     multiples (P, and P0 at k = 1), the Euclid stream (E) and the lattice
     stream (C, and its rows with gcd(n, 2m - 1) = 1).  The tree also
     predicts E from k alone (see _in_euclid), from a set of multipliers
-    that grows with the largest k walked, not with c_max.  Each set folds
-    into a count and, per c-band, a multiset hash: the sum of
-    hash((a, b, c)) over its canonically oriented triples, so memory stays
-    flat.  Three pairs of sets must have equal sums in every band: E and
-    the tree's prediction of it, C and E's odd-leg records (C is E minus
-    its all-even triples), and the primitive lattice rows and P0.  A dropped, repeated or extra record
+    that grows with the largest k walked, not with c_max: about
+    1.7 sqrt(2k) ints.  Each set folds into a count and, per c-band, a
+    multiset hash: the sum of hash((a, b, c)) over its canonically
+    oriented triples, so their memory stays flat.  Three pairs of sets
+    must have equal sums in every band: E and the tree's prediction of it,
+    C and E's odd-leg records (C is E minus its all-even triples), and the
+    primitive lattice rows and P0.  A dropped, repeated or extra record
     changes its band's sum; a record past c_max lands in the overflow band.
     Only the bands where a pair differs are rebuilt as sets, by
     _name_discrepancies, to name what differs, and only the lowest of them

@@ -168,7 +168,8 @@ def _rows(records, name):
     # records that pass core's _check_index and _check_triple: a and b lie
     # below c once the identity holds, so only c meets U64_MAX, read once
     # per stream.  A record that fails it goes through those two, in that
-    # order, and raises what they raise.
+    # order, and raises what they raise.  series._indexed runs the same test;
+    # a change to it belongs in both.
     top = core.U64_MAX
     lattice = name == "m"
     for c, a, b, i, n in records:

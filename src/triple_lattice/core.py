@@ -17,8 +17,9 @@ Decomposition) are frozen dataclasses whose own __init__ checks its
 arguments first and only then stores them, one object.__setattr__ per
 field, so a valid value costs its checks and its stores and nothing more.
 dataclasses.replace goes through the same __init__, so it checks too.  The
-series streams make the same checks and the same stores for Triple,
-LatticeIndex and ExtendedIndex without a constructor call per object.
+indexed lattice and extended streams in series make the same checks and
+the same stores for their index and Triple objects without a constructor
+call per object.
 """
 
 from __future__ import annotations

@@ -6,14 +6,14 @@ the lattice (column m, step 2) and r = mu in the extended form (step 1).
 Every stream walks a line of the index lattice on which c rises (a
 column, a row, the diagonal) or merges all columns, carrying plain
 (c, a, b, i, j) tuples; Triple and index objects are built only at the
-public edge.  There each record passes one inline test that accepts just
-what the constructors accept (one that fails it raises what they raise),
-and each object is made by object.__new__ and the constructor's own field
-stores, with no constructor call per record, so it is indistinguishable
-from one its constructor built.  Streams are single-consumer iterators;
-merged slices come out c ascending, then a.  Each stream checks
-c_max <= U64_MAX once, at call time, which bounds every component it can
-yield.
+public edge.  The Triple-only streams call Triple there.  The indexed
+lattice and extended streams build each pair without a constructor call:
+one inline test accepts just what the constructors accept (a record that
+fails it raises what they raise), and each object is made by
+object.__new__ and the constructors' own field stores, so it is
+indistinguishable from one its constructor built.  Streams are
+single-consumer iterators; merged slices come out c ascending, then a.  Each stream checks c_max <= U64_MAX once, at call
+time, which bounds every component it can yield.
 """
 
 from __future__ import annotations
@@ -108,32 +108,21 @@ def _merge(step: int, c_max: int) -> Iterator[_Record]:
 
 
 def _triples(records: Iterator[_Record]) -> Iterator[Triple]:
-    # Triple(a, b, c) without the call: one inline test passes just the
-    # records _check_triple passes (a and b lie below c once the identity
-    # holds, so only c meets U64_MAX), a record that fails it raises what
-    # _check_triple raises, and the stores are __init__'s own.
-    top, new = U64_MAX, object.__new__
-    for c, a, b, _, _ in records:
-        if not (
-            type(a) is type(b) is type(c) is int
-            and a > 0 and b > 0 and 0 < c <= top
-            and a * a + b * b == c * c
-        ):
-            _check_triple(a, b, c)
-        t = new(Triple)
-        _set(t, "a", a)
-        _set(t, "b", b)
-        _set(t, "c", c)
-        yield t
+    return (Triple(a, b, c) for c, a, b, _, _ in records)
 
 
 def _indexed(
-    records: Iterator[_Record], index: type[LatticeIndex | ExtendedIndex], name: str
+    records: Iterator[_Record], index: type[LatticeIndex | ExtendedIndex]
 ) -> Iterator[tuple[LatticeIndex | ExtendedIndex, Triple]]:
-    # (index(i, n), Triple(a, b, c)) without either call, as _triples builds
-    # its Triple; name is the index's first field, "m" or "mu".  A record
-    # that fails the inline test goes through _check_index and then
-    # _check_triple, the constructors' order, and raises what they raise.
+    # (index(i, n), Triple(a, b, c)) without either call.  The inline test
+    # is cli._rows' own, and a change to one belongs in both.  It passes
+    # just the records that pass _check_index and _check_triple (a and b
+    # lie below c once the identity holds, so only c meets U64_MAX), and a
+    # record that fails it goes through those two, the constructors'
+    # order, and raises what they raise.  The stores are the constructors'
+    # own, field by field in __init__'s order; name is the index's first
+    # field, "m" or "mu".
+    name = index.__match_args__[0]
     top, new = U64_MAX, object.__new__
     for c, a, b, i, n in records:
         if not (
@@ -204,7 +193,7 @@ def lattice_enumerate_indexed(c_max: int) -> Iterator[tuple[LatticeIndex, Triple
 
     Order: c ascending, then a.  Column m joins at its head, c = 4m^2 + 1.
     """
-    return _indexed(_lattice_records(c_max), LatticeIndex, "m")
+    return _indexed(_lattice_records(c_max), LatticeIndex)
 
 
 def lattice_enumerate(c_max: int) -> Iterator[Triple]:
@@ -217,7 +206,7 @@ def extended_enumerate_indexed(c_max: int) -> Iterator[tuple[ExtendedIndex, Trip
 
     Order: c ascending, then a.  Column mu joins at its head, c = mu^2 + 2mu + 2.
     """
-    return _indexed(_extended_records(c_max), ExtendedIndex, "mu")
+    return _indexed(_extended_records(c_max), ExtendedIndex)
 
 
 def extended_enumerate(c_max: int) -> Iterator[Triple]:

@@ -16,6 +16,7 @@ from triple_lattice.classify import (
     ClassReport,
     _berggren_primitives,
     _check_oracle_bound,
+    _in_euclid,
     berggren_triples,
     brute_force_triples,
     classify,
@@ -357,6 +358,24 @@ def _set_based_verify_chain(
 def test_verify_chain_equals_the_set_based_reference():
     for c_max in [*range(5, 400), 1000, 2500, 10_000]:
         assert verify_chain(c_max) == _set_based_verify_chain(c_max), c_max
+
+
+def test_euclid_multipliers_are_the_squares_and_twice_the_squares():
+    roots = range(1, 101)
+    euclid = {s * s for s in roots} | {2 * s * s for s in roots}
+    assert _in_euclid(0, 10_000) == {k for k in euclid if k <= 10_000}
+    # Grown as verify_chain grows it, doubling past each k that outruns it.
+    grown: set[int] = set()
+    reach = 0
+    for k in range(1, 3_000):
+        if k > reach:
+            grown |= _in_euclid(reach, 2 * k)
+            reach = 2 * k
+    assert grown == _in_euclid(0, reach)
+    s = 2**32 - 1
+    assert _in_euclid(s * s - 1, s * s) == {s * s}
+    assert _in_euclid(2 * s * s - 1, 2 * s * s) == {2 * s * s}
+    assert _in_euclid(s * s, s * s + 1) == set()
 
 
 def test_verify_chain_counts_at_1e5():

@@ -400,7 +400,7 @@ def test_verify_names_a_fault_in_every_band_within_the_same_limit():
 
 def test_verify_memory_follows_the_walk_at_the_64_bit_bound():
     # The tree's multiplier set grows with the largest k walked, not with
-    # c_max, so verify at the full width keeps running in flat memory.
+    # c_max, so verify at the full width starts and keeps running.
     top = str(2**64 - 1)
     proc = _child(
         "-m", "triple_lattice.cli", "verify", "--c-max", top, "--oracle-ceiling", top,
