@@ -20,8 +20,9 @@ ground truth that the tests and the acceptance criteria compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
+from . import core
 from .core import (
     EuclidParams,
     LatticeIndex,
@@ -33,6 +34,7 @@ from .core import (
     _require_positive_int,
     canonicalize,
     euclid_params_from_triple,
+    is_perfect_square,
     lattice_from_triple,
 )
 from .series import MIN_HYPOTENUSE, _check_bound, _extended_records, _lattice_records
@@ -174,24 +176,26 @@ def _berggren_primitives(c_max: int):
 
     Depth first over the Berggren tree on an explicit stack.  Each of the
     three matrices maps a primitive triple to one with a larger c, so a
-    branch is cut at its first node past c_max.
+    branch is cut at its first node past c_max, which is never pushed.
     """
-    stack = [(3, 4, 5)]
+    stack = [(3, 4, 5)] if c_max >= 5 else []
+    push = stack.append
     while stack:
         a, b, c = stack.pop()
-        if c > c_max:
-            continue
         yield a, b, c
-        stack.append((a - 2 * b + 2 * c, 2 * a - b + 2 * c, 2 * a - 2 * b + 3 * c))
-        stack.append((a + 2 * b + 2 * c, 2 * a + b + 2 * c, 2 * a + 2 * b + 3 * c))
-        stack.append((2 * b - a + 2 * c, b - 2 * a + 2 * c, 2 * b - 2 * a + 3 * c))
+        if (z := 2 * a - 2 * b + 3 * c) <= c_max:
+            push((a - 2 * b + 2 * c, 2 * a - b + 2 * c, z))
+        if (z := 2 * a + 2 * b + 3 * c) <= c_max:
+            push((a + 2 * b + 2 * c, 2 * a + b + 2 * c, z))
+        if (z := 2 * b - 2 * a + 3 * c) <= c_max:
+            push((2 * b - a + 2 * c, b - 2 * a + 2 * c, z))
 
 
 def _tree_multiples(c_max: int):
     """Yield (a, b, c, k) for k times each tree primitive, c <= c_max.
 
     The triples come out as plain tuples, unchecked: berggren_triples
-    builds each as a Triple, and verify_chain runs _check_triple on each.
+    builds each as a Triple, and verify_chain tests each as _check_triple does.
     """
     for a, b, c in _berggren_primitives(c_max):
         # core._in_order's orientation, settled once per primitive: an odd k
@@ -200,7 +204,7 @@ def _tree_multiples(c_max: int):
         odd, even = (a, b) if a % 2 else (b, a)
         lo, hi = (a, b) if a < b else (b, a)
         for k in range(1, c_max // c + 1):
-            if k % 2:
+            if k & 1:
                 yield k * odd, k * even, k * c, k
             else:
                 yield k * lo, k * hi, k * c, k
@@ -245,17 +249,14 @@ class ChainReport:
         return not self.discrepancies
 
 
-def _in_euclid(below: int, reach: int) -> set[int]:
-    """The multipliers k in (below, reach] for which k times a primitive is
-    a Euclid triple.
+def _euclid_multiplier(k: int) -> bool:
+    """Whether k times a primitive is a Euclid triple.
 
     k p = (u^2 - v^2, 2uv, u^2 + v^2) needs k = s^2 (u, v = s times p's
     pair) or k = 2 s^2 (u, v = s times the sum and difference of p's
     pair); k p has an odd leg, so lies in the lattice set, iff k is odd.
     """
-    return {s * s for s in range(isqrt(below) + 1, isqrt(reach) + 1)} | {
-        2 * s * s for s in range(isqrt(below // 2) + 1, isqrt(reach // 2) + 1)
-    }
+    return is_perfect_square(k) or (k % 2 == 0 and is_perfect_square(k // 2))
 
 
 def verify_chain(
@@ -267,14 +268,14 @@ def verify_chain(
     The routes are each walked once on plain ints: the Berggren tree
     multiples (P, and P0 at k = 1), the Euclid stream (E) and the lattice
     stream (C, and its rows with gcd(n, 2m - 1) = 1).  The tree also
-    predicts E from k alone (see _in_euclid), from a set of multipliers
-    that grows with the largest k walked, not with c_max: about
-    1.7 sqrt(2k) ints.  Each set folds into a count and, per c-band, a
-    multiset hash: the sum of hash((a, b, c)) over its canonically
-    oriented triples, so their memory stays flat.  Three pairs of sets
-    must have equal sums in every band: E and the tree's prediction of it,
-    C and E's odd-leg records (C is E minus its all-even triples), and the
-    primitive lattice rows and P0.  A dropped, repeated or extra record
+    predicts E from k alone (see _euclid_multiplier), with a cursor on the
+    next s^2 and 2 s^2 at or above k, which holds five ints however far k
+    runs.  Each set folds into a count and, per c-band, a multiset hash:
+    the sum of hash((a, b, c)) over its canonically oriented triples, so
+    their memory stays flat.  Three pairs of sets must have equal sums in
+    every band: E and the tree's prediction of it, C and E's odd-leg
+    records (C is E minus its all-even triples), and the primitive lattice
+    rows and P0.  A dropped, repeated or extra record
     changes its band's sum; a record past c_max lands in the overflow band.
     Only the bands where a pair differs are rebuilt as sets, by
     _name_discrepancies, to name what differs, and only the lowest of them
@@ -285,27 +286,39 @@ def verify_chain(
     up to c_max, so when every hash agrees their sum must equal the tree's
     count; if it does not, and no other text was produced, one text says
     so.  Every stream record passes _check_index and then _check_triple,
-    and every tree multiple _check_triple, the tests their constructors
-    make, so an invalid record raises; so do bound errors.
+    and every tree multiple an inline test that passes just what
+    _check_triple passes (and calls it on failure), the tests their
+    constructors make, so an invalid record raises; so do bound errors.
     """
     _check_oracle_bound(c_max, oracle_ceiling, MIN_HYPOTENUSE)
-    # The Euclid multipliers up to reach, which doubles past each k that
-    # outruns it, so the set follows the walk, not c_max.
-    in_e: set[int] = set()
-    reach = 0
     # Each pair's sums as one signed sum per band: E minus its prediction,
     # C minus E's odd legs, primitive lattice rows minus P0.
     e_gap, c_gap, p0_gap = ([0] * (_BANDS + 1) for _ in range(3))
 
     count_p = count_p0 = 0
     witness_p_not_e = least = None
+    # a and b lie below c once the identity holds, so only c meets U64_MAX.
+    top = core.U64_MAX
+    # sq = s^2 and tw = 2 t^2 are the least such multipliers at or above
+    # the last k; they start again when k falls below it.
+    s, sq, t, tw, last = 1, 1, 1, 2, 1
     for a, b, c, k in _tree_multiples(c_max):
-        _check_triple(a, b, c)
+        if not (
+            type(a) is type(b) is type(c) is int
+            and a > 0 and b > 0 and 0 < c <= top and a * a + b * b == c * c
+        ):
+            _check_triple(a, b, c)
         count_p += 1
-        if k > reach:
-            in_e |= _in_euclid(reach, 2 * k)
-            reach = 2 * k
-        if k in in_e:
+        if k < last:
+            s, sq, t, tw = 1, 1, 1, 2
+        last = k
+        while sq < k:
+            s += 1
+            sq = s * s
+        while tw < k:
+            t += 1
+            tw = 2 * t * t
+        if k == sq or k == tw:
             i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
             h = hash((a, b, c))
             e_gap[i] -= h
@@ -350,7 +363,7 @@ def verify_chain(
     if bad:
         # A band holds about 1/_BANDS of each route's records.
         named = max(1, _NAMING_BUDGET * _BANDS // (count_p + count_e + count_c + 1))
-        texts = _name_discrepancies(c_max, set(bad[:named]), in_e)
+        texts = _name_discrepancies(c_max, set(bad[:named]))
         rest = bad[named:] if texts else bad
         if rest:
             start = -(-rest[0] * c_max // _BANDS) + 1
@@ -376,7 +389,7 @@ def verify_chain(
     )
 
 
-def _name_discrepancies(c_max: int, bands: set[int], in_e: set[int]) -> tuple[str, ...]:
+def _name_discrepancies(c_max: int, bands: set[int]) -> tuple[str, ...]:
     """Walk the routes again, build sets over the given c-bands only, and
     name what differs there, in the order and words of a whole-set compare.
 
@@ -391,9 +404,9 @@ def _name_discrepancies(c_max: int, bands: set[int], in_e: set[int]) -> tuple[st
     overflow band), as below any bound it yields the same records in the
     same order: the streams run in (c, a) order, the tree cuts a branch at
     its first node past the bound and children only grow, and multiples
-    run k upward.  Bands are still taken against c_max.  in_e is the first
-    pass's multiplier set: this walk reaches no k that pass did not, so the
-    set covers every k it tests.
+    run k upward.  Bands are still taken against c_max.  The tree's
+    prediction of E asks _euclid_multiplier, which decides what the first
+    pass's cursor decides, of each k.
     """
     top = c_max if _BANDS in bands else -(-(max(bands) + 1) * c_max // _BANDS)
 
@@ -407,7 +420,7 @@ def _name_discrepancies(c_max: int, bands: set[int], in_e: set[int]) -> tuple[st
     tree = [((a, b, c), k) for a, b, c, k in _tree_multiples(top) if inside(c)]
     p_set = {t for t, _ in tree}
     p0_set = {t for t, k in tree if k == 1}
-    e_predicted = {t for t, k in tree if k in in_e}
+    e_predicted = {t for t, k in tree if _euclid_multiplier(k)}
     c_pairs = [((m, n), (a, b, c)) for c, a, b, m, n in _lattice_records(top) if inside(c)]
     c_set = {t for _, t in c_pairs}
     e_records = [(a, b, c) for c, a, b, _, _ in _extended_records(top) if inside(c)]

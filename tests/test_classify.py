@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 from itertools import chain, permutations
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,7 @@ from triple_lattice.classify import (
     ClassReport,
     _berggren_primitives,
     _check_oracle_bound,
-    _in_euclid,
+    _euclid_multiplier,
     berggren_triples,
     brute_force_triples,
     classify,
@@ -28,6 +29,7 @@ from triple_lattice.core import (
     EuclidParams,
     LatticeIndex,
     Triple,
+    _check_triple,
     canonicalize,
     euclid_params_from_triple,
     is_primitive_lattice,
@@ -252,6 +254,27 @@ def test_berggren_equals_brute_force():
         assert berggren_triples(c_max) == brute_force_triples(c_max), c_max
 
 
+def _pushing_every_child(c_max):
+    """The tree walk as it was before it pruned: all three children pushed,
+    each past c_max skipped when popped.  Kept as the order reference."""
+    stack = [(3, 4, 5)]
+    while stack:
+        a, b, c = stack.pop()
+        if c > c_max:
+            continue
+        yield a, b, c
+        stack.append((a - 2 * b + 2 * c, 2 * a - b + 2 * c, 2 * a - 2 * b + 3 * c))
+        stack.append((a + 2 * b + 2 * c, 2 * a + b + 2 * c, 2 * a + 2 * b + 3 * c))
+        stack.append((2 * b - a + 2 * c, b - 2 * a + 2 * c, 2 * b - 2 * a + 3 * c))
+
+
+def test_berggren_walk_keeps_its_order_when_pruned():
+    # The naming pass's "first repeat in stream order" rests on this order.
+    for c_max in [*range(1, 3_001), 10**5]:
+        assert list(_berggren_primitives(c_max)) == list(_pushing_every_child(c_max)), c_max
+    assert berggren_triples(4) == set()
+
+
 @pytest.mark.parametrize("c_max", [5, 50, 500, 2500])
 def test_berggren_primitives_are_distinct_and_count_p0(c_max):
     nodes = list(_berggren_primitives(c_max))
@@ -363,19 +386,65 @@ def test_verify_chain_equals_the_set_based_reference():
 def test_euclid_multipliers_are_the_squares_and_twice_the_squares():
     roots = range(1, 101)
     euclid = {s * s for s in roots} | {2 * s * s for s in roots}
-    assert _in_euclid(0, 10_000) == {k for k in euclid if k <= 10_000}
-    # Grown as verify_chain grows it, doubling past each k that outruns it.
-    grown: set[int] = set()
-    reach = 0
-    for k in range(1, 3_000):
-        if k > reach:
-            grown |= _in_euclid(reach, 2 * k)
-            reach = 2 * k
-    assert grown == _in_euclid(0, reach)
+    got = {k for k in range(1, 10_001) if _euclid_multiplier(k)}
+    assert got == {k for k in euclid if k <= 10_000}
     s = 2**32 - 1
-    assert _in_euclid(s * s - 1, s * s) == {s * s}
-    assert _in_euclid(2 * s * s - 1, 2 * s * s) == {2 * s * s}
-    assert _in_euclid(s * s, s * s + 1) == set()
+    for k in (s * s, 2 * s * s):
+        assert _euclid_multiplier(k)
+        assert not _euclid_multiplier(k - 1)
+        assert not _euclid_multiplier(k + 1)
+
+
+# Triple fields near every edge _check_triple tests: zero, negatives, the
+# width and one past it, bools and floats.
+_FIELD = st.one_of(
+    st.integers(-3, 6),
+    st.sampled_from([U64_MAX, U64_MAX + 1, -U64_MAX, True, False, 0.0, 3.0, 5.0]),
+    st.integers(),
+)
+
+
+@st.composite
+def _multiples(draw):
+    # A tree multiple (a, b, c, k): a true Euclid triple scaled up to and
+    # past the width, legs in either order, with up to two fields negated,
+    # zeroed or replaced; or three arbitrary fields.
+    k = draw(st.integers(1, 50))
+    if draw(st.booleans()):
+        return (*(draw(_FIELD) for _ in range(3)), k)
+    u = draw(st.integers(2, 40))
+    v = draw(st.integers(1, u - 1))
+    a, b, c = u * u - v * v, 2 * u * v, u * u + v * v
+    scale = draw(st.sampled_from([1, 2, 3, U64_MAX // c, U64_MAX // c + 1]))
+    record = [scale * a, scale * b, scale * c]
+    if draw(st.booleans()):
+        record[:2] = record[1::-1]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, 2))
+        record[at] = draw(st.sampled_from([-record[at], 0, record[at] + 1]) | _FIELD)
+    return (*record, k)
+
+
+def _first_rejection(records):
+    for a, b, c, _ in records:
+        try:
+            _check_triple(a, b, c)
+        except (TypeError, ValueError, OverflowError) as exc:
+            return exc
+    return None
+
+
+@given(records=st.lists(_multiples(), max_size=6))
+def test_inline_tree_test_accepts_exactly_what_check_triple_accepts(records):
+    module = importlib.import_module("triple_lattice.classify")
+    want = _first_rejection(records)
+    got = None
+    with mock.patch.object(module, "_tree_multiples", lambda c_max: iter(records)):
+        try:
+            verify_chain(500)
+        except (TypeError, ValueError, OverflowError) as exc:
+            got = exc
+    assert (type(got), str(got)) == (type(want), str(want))
 
 
 def test_verify_chain_counts_at_1e5():
