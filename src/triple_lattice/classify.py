@@ -27,7 +27,6 @@ from .core import (
     EuclidParams,
     LatticeIndex,
     Triple,
-    _check_index,
     _check_triple,
     _in_order,
     _is_primitive_at,
@@ -37,7 +36,7 @@ from .core import (
     is_perfect_square,
     lattice_from_triple,
 )
-from .series import MIN_HYPOTENUSE, _check_bound, _extended_records, _lattice_records
+from .series import MIN_HYPOTENUSE, _check_bound, _extended_records, _lattice_records, _valid
 
 __all__ = [
     "DEFAULT_ORACLE_CEILING",
@@ -195,7 +194,8 @@ def _tree_multiples(c_max: int):
     """Yield (a, b, c, k) for k times each tree primitive, c <= c_max.
 
     The triples come out as plain tuples, unchecked: berggren_triples
-    builds each as a Triple, and verify_chain tests each as _check_triple does.
+    builds each as a Triple, and verify_chain tests each by series._valid's
+    rule without the index, which a multiple does not carry.
     """
     for a, b, c in _berggren_primitives(c_max):
         # core._in_order's orientation, settled once per primitive: an odd k
@@ -285,10 +285,10 @@ def verify_chain(
     second route: each primitive lattice row at c has c_max // c multiples
     up to c_max, so when every hash agrees their sum must equal the tree's
     count; if it does not, and no other text was produced, one text says
-    so.  Every stream record passes _check_index and then _check_triple,
-    and every tree multiple an inline test that passes just what
-    _check_triple passes (and calls it on failure), the tests their
-    constructors make, so an invalid record raises; so do bound errors.
+    so.  Every stream record passes series._valid, and every tree multiple
+    its test without the index, which passes just what _check_triple passes
+    (and calls it on failure): the tests their constructors make, so an
+    invalid record raises; so do bound errors.
     """
     _check_oracle_bound(c_max, oracle_ceiling, MIN_HYPOTENUSE)
     # Each pair's sums as one signed sum per band: E minus its prediction,
@@ -297,7 +297,9 @@ def verify_chain(
 
     count_p = count_p0 = 0
     witness_p_not_e = least = None
-    # a and b lie below c once the identity holds, so only c meets U64_MAX.
+    # The tree keeps its own, triple-only test: its (a, b, c, k) multiples
+    # carry no index for series._valid to check.  a and b lie below c once
+    # the identity holds, so only c meets U64_MAX.
     top = core.U64_MAX
     # sq = s^2 and tw = 2 t^2 are the least such multipliers at or above
     # the last k; they start again when k falls below it.
@@ -331,9 +333,7 @@ def verify_chain(
 
     count_e = 0
     witness_e_not_c = None
-    for count_e, (c, a, b, mu, n) in enumerate(_extended_records(c_max), 1):
-        _check_index("mu", mu, n)
-        _check_triple(a, b, c)
+    for count_e, (c, a, b, mu, n) in enumerate(_valid(_extended_records(c_max), "mu"), 1):
         i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
         if a % 2:
             h = hash((a, b, c))
@@ -346,9 +346,7 @@ def verify_chain(
 
     count_c = multiples = 0
     witness_c_not_p0 = None
-    for count_c, (c, a, b, m, n) in enumerate(_lattice_records(c_max), 1):
-        _check_index("m", m, n)
-        _check_triple(a, b, c)
+    for count_c, (c, a, b, m, n) in enumerate(_valid(_lattice_records(c_max), "m"), 1):
         i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
         h = hash((a, b, c))
         c_gap[i] += h

@@ -35,6 +35,7 @@ from .series import (
     _odd_records,
     _platonic_records,
     _pythagorean_records,
+    _valid,
 )
 
 FORMAT_ENV = "TRIPLE_LATTICE_FORMAT"
@@ -164,22 +165,9 @@ def cmd_inv(args: argparse.Namespace, fmt: str) -> int:
 
 def _rows(records, name):
     # Rows from plain (c, a, b, i, n) records, lattice ones when name is "m"
-    # and extended ones when it is "mu".  One inline test passes just the
-    # records that pass core's _check_index and _check_triple: a and b lie
-    # below c once the identity holds, so only c meets U64_MAX, read once
-    # per stream.  A record that fails it goes through those two, in that
-    # order, and raises what they raise.  series._indexed runs the same test;
-    # a change to it belongs in both.
-    top = core.U64_MAX
+    # and extended ones when it is "mu", on the records series._valid passes.
     lattice = name == "m"
-    for c, a, b, i, n in records:
-        if not (
-            type(i) is type(n) is type(a) is type(b) is type(c) is int
-            and i > 0 and n > 0 and a > 0 and b > 0 and 0 < c <= top
-            and a * a + b * b == c * c
-        ):
-            core._check_index(name, i, n)
-            core._check_triple(a, b, c)
+    for c, a, b, i, n in _valid(records, name):
         primitive = _is_primitive_at(i, n) if lattice else gcd(a, b, c) == 1
         yield i, n, a, b, c, "true" if primitive else "false"
 

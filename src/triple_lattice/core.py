@@ -16,10 +16,11 @@ The value types (Triple, LatticeIndex, ExtendedIndex, EuclidParams,
 Decomposition) are frozen dataclasses whose own __init__ checks its
 arguments first and only then stores them, one object.__setattr__ per
 field, so a valid value costs its checks and its stores and nothing more.
-dataclasses.replace goes through the same __init__, so it checks too.  The
-indexed lattice and extended streams in series make the same checks and
-the same stores for their index and Triple objects without a constructor
-call per object.
+dataclasses.replace goes through the same __init__, so it checks too.
+series._valid applies the index and Triple checks to every plain record of
+the lattice and extended streams, the CLI's rows and verify_chain; the
+indexed streams then make the same stores for their index and Triple
+objects without a constructor call per object.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class Triple:
     Construction of a non-Pythagorean triple raises ValueError; components
     above U64_MAX raise OverflowError.  c > a and c > b follow from the
     identity.  Instances are immutable and hashable.  The tests live in
-    _check_triple, which also checks the CLI's plain records.
+    _check_triple, which series._valid also runs on a plain record it rejects.
     """
 
     a: int

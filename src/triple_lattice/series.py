@@ -8,11 +8,12 @@ column, a row, the diagonal) or merges all columns, carrying plain
 (c, a, b, i, j) tuples; Triple and index objects are built only at the
 public edge.  The Triple-only streams call Triple there.  The indexed
 lattice and extended streams build each pair without a constructor call:
-one inline test accepts just what the constructors accept (a record that
-fails it raises what they raise), and each object is made by
-object.__new__ and the constructors' own field stores, so it is
-indistinguishable from one its constructor built.  Streams are
-single-consumer iterators; merged slices come out c ascending, then a.  Each stream checks c_max <= U64_MAX once, at call
+_valid, the package's one copy of the record rule, accepts just what the
+constructors accept (a record that fails it raises what they raise), and
+each object is made by object.__new__ and the constructors' own field
+stores, so it is indistinguishable from one its constructor built.
+Streams are single-consumer iterators; merged slices come out c
+ascending, then a.  Each stream checks c_max <= U64_MAX once, at call
 time, which bounds every component it can yield.
 """
 
@@ -22,8 +23,8 @@ from collections.abc import Iterable, Iterator
 from heapq import heappop, heappush, heapreplace
 from itertools import count, repeat
 
+from . import core
 from .core import (
-    U64_MAX,
     ExtendedIndex,
     LatticeIndex,
     Triple,
@@ -57,7 +58,7 @@ _Record = tuple[int, int, int, int, int]
 
 def _check_bound(c_max: int) -> None:
     _require_positive_int("c_max", c_max)
-    if c_max > U64_MAX:
+    if c_max > core.U64_MAX:
         raise OverflowError(f"c_max = {c_max} exceeds the checked 64-bit width")
 
 
@@ -111,20 +112,19 @@ def _triples(records: Iterator[_Record]) -> Iterator[Triple]:
     return (Triple(a, b, c) for c, a, b, _, _ in records)
 
 
-def _indexed(
-    records: Iterator[_Record], index: type[LatticeIndex | ExtendedIndex]
-) -> Iterator[tuple[LatticeIndex | ExtendedIndex, Triple]]:
-    # (index(i, n), Triple(a, b, c)) without either call.  The inline test
-    # is cli._rows' own, and a change to one belongs in both.  It passes
-    # just the records that pass _check_index and _check_triple (a and b
-    # lie below c once the identity holds, so only c meets U64_MAX), and a
-    # record that fails it goes through those two, the constructors'
-    # order, and raises what they raise.  The stores are the constructors'
-    # own, field by field in __init__'s order; name is the index's first
-    # field, "m" or "mu".
-    name = index.__match_args__[0]
-    top, new = U64_MAX, object.__new__
-    for c, a, b, i, n in records:
+def _valid(records: Iterable[_Record], name: str) -> Iterator[_Record]:
+    """Yield each (c, a, b, i, n) record, unchanged, that index(i, n) and
+    Triple(a, b, c) accept, the index's first field called name.
+
+    The package's one record rule.  Its inline test passes just what
+    _check_index and _check_triple pass: a and b lie below c once the
+    identity holds, so only c meets U64_MAX, read from core per stream.  A
+    record that fails it goes through those two, the constructors' order,
+    and raises what they raise.
+    """
+    top = core.U64_MAX
+    for record in records:
+        c, a, b, i, n = record
         if not (
             type(i) is type(n) is type(a) is type(b) is type(c) is int
             and i > 0 and n > 0 and a > 0 and b > 0 and 0 < c <= top
@@ -132,6 +132,18 @@ def _indexed(
         ):
             _check_index(name, i, n)
             _check_triple(a, b, c)
+        yield record
+
+
+def _indexed(
+    records: Iterator[_Record], index: type[LatticeIndex | ExtendedIndex]
+) -> Iterator[tuple[LatticeIndex | ExtendedIndex, Triple]]:
+    # (index(i, n), Triple(a, b, c)) without either call, on the records
+    # _valid passes.  The stores are the constructors' own, field by field
+    # in __init__'s order; name is the index's first field, "m" or "mu".
+    name = index.__match_args__[0]
+    new = object.__new__
+    for c, a, b, i, n in _valid(records, name):
         idx = new(index)
         _set(idx, name, i)
         _set(idx, "n", n)

@@ -2,13 +2,15 @@
 
 import copy
 import dataclasses
+import importlib
+import operator
 import pickle
 from itertools import islice
 from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from triple_lattice import cli, series
@@ -384,6 +386,20 @@ def _same_failure(got, want):
     assert (type(got), str(got)) == (type(want), str(want))
 
 
+def _one_example_per_clause(test):
+    # A passing record and then one that fails a single clause of the
+    # record rule, for every clause: each field's type and sign, the width
+    # and the identity.  Random draws reach some clauses only rarely.
+    ok, big = (5, 3, 4, 1, 1), U64_MAX // 5 + 1
+    bad = [(5 * big, 3 * big, 4 * big, 1, 1), (7, 3, 4, 1, 1)]
+    for at in range(5):
+        bad += [ok[:at] + (v,) + ok[at + 1:] for v in (float(ok[at]), -ok[at])]
+    for record in bad:
+        test = example(records=[ok, record])(test)
+    return test
+
+
+@_one_example_per_clause
 @given(records=st.lists(_records(), max_size=6))
 def test_inline_record_tests_accept_exactly_what_the_helpers_accept(records):
     source = mock.patch.multiple(
@@ -402,8 +418,18 @@ def test_inline_record_tests_accept_exactly_what_the_helpers_accept(records):
         else:
             want = [(index(i, n), Triple(a, b, c)) for c, a, b, i, n in passed]
         assert repr(got) == repr(want), name
-    for field in ("m", "mu"):
+    verify = importlib.import_module("triple_lattice.classify")
+    for field, patched in (("m", "_lattice_records"), ("mu", "_extended_records")):
         passed, raised = _helpers_on(records, field)
+        got, failure = _drain(series._valid(iter(records), field))
+        _same_failure(failure, raised)
+        # The records that pass come out as they went in, not repacked.
+        assert len(got) == len(passed) and all(map(operator.is_, got, records))
         rows, failure = _drain(cli._rows(iter(records), field))
         _same_failure(failure, raised)
         assert [row[:5] for row in rows] == [(i, n, a, b, c) for c, a, b, i, n in passed]
+        # verify_chain reads the drawn records as that field's stream; its
+        # other two routes stay as they are.
+        with mock.patch.object(verify, patched, lambda c_max: iter(records)):
+            _, failure = _drain(map(verify.verify_chain, [500]))
+        _same_failure(failure, raised)
