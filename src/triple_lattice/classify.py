@@ -33,7 +33,6 @@ from .core import (
     _require_positive_int,
     canonicalize,
     euclid_params_from_triple,
-    is_perfect_square,
     lattice_from_triple,
 )
 from .series import MIN_HYPOTENUSE, _check_bound, _extended_records, _lattice_records, _valid
@@ -135,6 +134,7 @@ def classify(x: int, y: int, z: int) -> ClassReport:
 
 def _check_oracle_bound(c_max: int, oracle_ceiling: int, minimum: int = 1) -> None:
     _require_positive_int("c_max", c_max, minimum)
+    _require_positive_int("oracle_ceiling", oracle_ceiling)
     if c_max > oracle_ceiling:
         raise BoundTooLarge(
             f"c_max = {c_max} exceeds the oracle ceiling {oracle_ceiling}"
@@ -191,11 +191,15 @@ def _berggren_primitives(c_max: int):
 
 
 def _tree_multiples(c_max: int):
-    """Yield (a, b, c, k) for k times each tree primitive, c <= c_max.
+    """Yield (a, b, c, k, euclid) for k times each tree primitive, c <= c_max.
 
-    The triples come out as plain tuples, unchecked: berggren_triples
-    builds each as a Triple, and verify_chain tests each by series._valid's
-    rule without the index, which a multiple does not carry.
+    euclid marks the Euclid triples: k p = (u^2 - v^2, 2uv, u^2 + v^2)
+    needs k = s^2 (u, v = s times p's pair) or k = 2 s^2 (u, v = s times
+    the sum and difference of p's pair); k p has an odd leg, so lies in the
+    lattice set, iff k is odd.  The triples come out as plain tuples,
+    unchecked: berggren_triples builds each as a Triple, and verify_chain
+    tests each by series._valid's rule without the index, which a multiple
+    does not carry.
     """
     for a, b, c in _berggren_primitives(c_max):
         # core._in_order's orientation, settled once per primitive: an odd k
@@ -203,11 +207,21 @@ def _tree_multiples(c_max: int):
         # even, so they ascend.
         odd, even = (a, b) if a % 2 else (b, a)
         lo, hi = (a, b) if a < b else (b, a)
+        # sq is the least s^2 at or above k and, on even k, tw the least
+        # 2 t^2.  One step each keeps up: squares lie at least 3 apart and
+        # twice-squares at least 6, further than k moves between steps.
+        s, sq, t, tw = 1, 1, 1, 2
         for k in range(1, c_max // c + 1):
+            if sq < k:
+                s += 1
+                sq = s * s
             if k & 1:
-                yield k * odd, k * even, k * c, k
+                yield k * odd, k * even, k * c, k, k == sq
             else:
-                yield k * lo, k * hi, k * c, k
+                if tw < k:
+                    t += 1
+                    tw = 2 * t * t
+                yield k * lo, k * hi, k * c, k, k == sq or k == tw
 
 
 def berggren_triples(
@@ -219,7 +233,7 @@ def berggren_triples(
     orientation, and raises the same errors for the same bounds.
     """
     _check_oracle_bound(c_max, oracle_ceiling)
-    return {Triple(a, b, c) for a, b, c, _ in _tree_multiples(c_max)}
+    return {Triple(a, b, c) for a, b, c, _, _ in _tree_multiples(c_max)}
 
 
 @dataclass(frozen=True)
@@ -249,16 +263,6 @@ class ChainReport:
         return not self.discrepancies
 
 
-def _euclid_multiplier(k: int) -> bool:
-    """Whether k times a primitive is a Euclid triple.
-
-    k p = (u^2 - v^2, 2uv, u^2 + v^2) needs k = s^2 (u, v = s times p's
-    pair) or k = 2 s^2 (u, v = s times the sum and difference of p's
-    pair); k p has an odd leg, so lies in the lattice set, iff k is odd.
-    """
-    return is_perfect_square(k) or (k % 2 == 0 and is_perfect_square(k // 2))
-
-
 def verify_chain(
     c_max: int, oracle_ceiling: int = DEFAULT_VERIFY_CEILING
 ) -> ChainReport:
@@ -268,15 +272,15 @@ def verify_chain(
     The routes are each walked once on plain ints: the Berggren tree
     multiples (P, and P0 at k = 1), the Euclid stream (E) and the lattice
     stream (C, and its rows with gcd(n, 2m - 1) = 1).  The tree also
-    predicts E from k alone (see _euclid_multiplier), with a cursor on the
-    next s^2 and 2 s^2 at or above k, which holds five ints however far k
-    runs.  Each set folds into a count and, per c-band, a multiset hash:
-    the sum of hash((a, b, c)) over its canonically oriented triples, so
-    their memory stays flat.  Three pairs of sets must have equal sums in
-    every band: E and the tree's prediction of it, C and E's odd-leg
-    records (C is E minus its all-even triples), and the primitive lattice
-    rows and P0.  A dropped, repeated or extra record
-    changes its band's sum; a record past c_max lands in the overflow band.
+    predicts E from k alone: _tree_multiples marks each multiple whose k
+    is s^2 or 2 s^2, with four ints however far k runs.  Each set folds
+    into a count and, per c-band, a multiset hash: the sum of
+    hash((a, b, c)) over its canonically oriented triples, so their memory
+    stays flat.  Three pairs of sets must have equal sums in every band: E
+    and the tree's prediction of it, C and E's odd-leg records (C is E
+    minus its all-even triples), and the primitive lattice rows and P0.  A
+    dropped, repeated or extra record changes its band's sum; a record
+    past c_max lands in the overflow band.
     Only the bands where a pair differs are rebuilt as sets, by
     _name_discrepancies, to name what differs, and only the lowest of them
     that fit _NAMING_BUDGET records, so a fault in every band still runs in
@@ -301,26 +305,14 @@ def verify_chain(
     # carry no index for series._valid to check.  a and b lie below c once
     # the identity holds, so only c meets U64_MAX.
     top = core.U64_MAX
-    # sq = s^2 and tw = 2 t^2 are the least such multipliers at or above
-    # the last k; they start again when k falls below it.
-    s, sq, t, tw, last = 1, 1, 1, 2, 1
-    for a, b, c, k in _tree_multiples(c_max):
+    for a, b, c, k, euclid in _tree_multiples(c_max):
         if not (
             type(a) is type(b) is type(c) is int
             and a > 0 and b > 0 and 0 < c <= top and a * a + b * b == c * c
         ):
             _check_triple(a, b, c)
         count_p += 1
-        if k < last:
-            s, sq, t, tw = 1, 1, 1, 2
-        last = k
-        while sq < k:
-            s += 1
-            sq = s * s
-        while tw < k:
-            t += 1
-            tw = 2 * t * t
-        if k == sq or k == tw:
+        if euclid:
             i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
             h = hash((a, b, c))
             e_gap[i] -= h
@@ -403,8 +395,8 @@ def _name_discrepancies(c_max: int, bands: set[int]) -> tuple[str, ...]:
     same order: the streams run in (c, a) order, the tree cuts a branch at
     its first node past the bound and children only grow, and multiples
     run k upward.  Bands are still taken against c_max.  The tree's
-    prediction of E asks _euclid_multiplier, which decides what the first
-    pass's cursor decides, of each k.
+    prediction of E is the multiples _tree_multiples marks, as in the
+    first pass.
     """
     top = c_max if _BANDS in bands else -(-(max(bands) + 1) * c_max // _BANDS)
 
@@ -415,10 +407,10 @@ def _name_discrepancies(c_max: int, bands: set[int]) -> tuple[str, ...]:
         a, b, c = t
         return t if _in_order(a, b) else (b, a, c)
 
-    tree = [((a, b, c), k) for a, b, c, k in _tree_multiples(top) if inside(c)]
-    p_set = {t for t, _ in tree}
-    p0_set = {t for t, k in tree if k == 1}
-    e_predicted = {t for t, k in tree if _euclid_multiplier(k)}
+    tree = [((a, b, c), k, e) for a, b, c, k, e in _tree_multiples(top) if inside(c)]
+    p_set = {t for t, _, _ in tree}
+    p0_set = {t for t, k, _ in tree if k == 1}
+    e_predicted = {t for t, _, e in tree if e}
     c_pairs = [((m, n), (a, b, c)) for c, a, b, m, n in _lattice_records(top) if inside(c)]
     c_set = {t for _, t in c_pairs}
     e_records = [(a, b, c) for c, a, b, _, _ in _extended_records(top) if inside(c)]
@@ -457,5 +449,5 @@ def _name_discrepancies(c_max: int, bands: set[int]) -> tuple[str, ...]:
     leak("tree-predicted Euclid triples missing from the Euclid stream",
          e_predicted - e_set - named)
     leak("Euclid triples outside the tree's prediction", e_set - e_predicted - named)
-    repeats("tree", (t for t, _ in tree if t not in named))
+    repeats("tree", (t for t, _, _ in tree if t not in named))
     return tuple(discrepancies)

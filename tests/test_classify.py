@@ -7,7 +7,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from triple_lattice.classify import (
@@ -17,7 +17,6 @@ from triple_lattice.classify import (
     ClassReport,
     _berggren_primitives,
     _check_oracle_bound,
-    _euclid_multiplier,
     berggren_triples,
     brute_force_triples,
     classify,
@@ -32,6 +31,7 @@ from triple_lattice.core import (
     _check_triple,
     canonicalize,
     euclid_params_from_triple,
+    is_perfect_square,
     is_primitive_lattice,
     lattice_from_triple,
     triple_from_lattice,
@@ -285,7 +285,8 @@ def test_berggren_primitives_are_distinct_and_count_p0(c_max):
 @pytest.mark.parametrize(
     "args",
     [(0,), (-1,), (5.0,), ("50",), (None,), (True,), (1,), (10_001,),
-     (60, 50), (50, 50), (51, 50), (5, 4)],
+     (60, 50), (50, 50), (51, 50), (5, 4),
+     (5, 4.0), (5, "9"), (5, None), (5, 0)],
 )
 def test_berggren_bound_checks_match_brute_force(args):
     def outcome(oracle):
@@ -299,13 +300,14 @@ def test_berggren_bound_checks_match_brute_force(args):
 
 @pytest.mark.parametrize("oracle", [brute_force_triples, berggren_triples, verify_chain])
 @pytest.mark.parametrize(
-    "c_max,type_name", [(5.0, "float"), ("50", "str"), (None, "NoneType")]
+    "bound,type_name", [(5.0, "float"), ("50", "str"), (None, "NoneType")]
 )
-def test_non_int_bound_is_a_type_error(oracle, c_max, type_name):
-    with pytest.raises(TypeError) as info:
-        oracle(c_max)
-    assert info.type is TypeError
-    assert str(info.value) == f"c_max must be an int, got {type_name}"
+def test_non_int_bound_is_a_type_error(oracle, bound, type_name):
+    for args, name in (((bound,), "c_max"), ((5, bound), "oracle_ceiling")):
+        with pytest.raises(TypeError) as info:
+            oracle(*args)
+        assert info.type is TypeError
+        assert str(info.value) == f"{name} must be an int, got {type_name}"
 
 
 # ---------------------------------------------------------------- verify_chain
@@ -383,16 +385,19 @@ def test_verify_chain_equals_the_set_based_reference():
         assert verify_chain(c_max) == _set_based_verify_chain(c_max), c_max
 
 
-def test_euclid_multipliers_are_the_squares_and_twice_the_squares():
-    roots = range(1, 101)
+def test_euclid_multipliers_are_the_squares_and_twice_the_squares(monkeypatch):
+    # One primitive, so k runs from 1 to 10^6 and every mark is k's own.
+    module = importlib.import_module("triple_lattice.classify")
+    monkeypatch.setattr(module, "_berggren_primitives", lambda c_max: iter([(3, 4, 5)]))
+    marked, count = set(), 0
+    for count, (_, _, _, k, e) in enumerate(module._tree_multiples(5 * 10**6), 1):
+        assert k == count
+        if e:
+            marked.add(k)
+    assert count == 10**6
+    roots = range(1, 1_001)
     euclid = {s * s for s in roots} | {2 * s * s for s in roots}
-    got = {k for k in range(1, 10_001) if _euclid_multiplier(k)}
-    assert got == {k for k in euclid if k <= 10_000}
-    s = 2**32 - 1
-    for k in (s * s, 2 * s * s):
-        assert _euclid_multiplier(k)
-        assert not _euclid_multiplier(k - 1)
-        assert not _euclid_multiplier(k + 1)
+    assert marked == {k for k in euclid if k <= 10**6}
 
 
 # Triple fields near every edge _check_triple tests: zero, negatives, the
@@ -406,12 +411,12 @@ _FIELD = st.one_of(
 
 @st.composite
 def _multiples(draw):
-    # A tree multiple (a, b, c, k): a true Euclid triple scaled up to and
-    # past the width, legs in either order, with up to two fields negated,
-    # zeroed or replaced; or three arbitrary fields.
-    k = draw(st.integers(1, 50))
+    # A tree multiple (a, b, c, k, euclid): a true Euclid triple scaled up
+    # to and past the width, legs in either order, with up to two fields
+    # negated, zeroed or replaced; or three arbitrary fields.
+    k, euclid = draw(st.integers(1, 50)), draw(st.booleans())
     if draw(st.booleans()):
-        return (*(draw(_FIELD) for _ in range(3)), k)
+        return (*(draw(_FIELD) for _ in range(3)), k, euclid)
     u = draw(st.integers(2, 40))
     v = draw(st.integers(1, u - 1))
     a, b, c = u * u - v * v, 2 * u * v, u * u + v * v
@@ -422,11 +427,25 @@ def _multiples(draw):
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, 2))
         record[at] = draw(st.sampled_from([-record[at], 0, record[at] + 1]) | _FIELD)
-    return (*record, k)
+    return (*record, k, euclid)
+
+
+def _one_example_per_clause(test):
+    # A passing multiple and then one that fails a single clause of the
+    # tree loop's inline test, for every clause: each field's type and
+    # sign, the width and the identity.  Random draws reach some clauses
+    # only rarely.
+    ok, big = (3, 4, 5, 1, True), U64_MAX // 5 + 1
+    bad = [(3 * big, 4 * big, 5 * big, big, False), (3, 4, 6, 1, True)]
+    for at in range(3):
+        bad += [ok[:at] + (v,) + ok[at + 1:] for v in (float(ok[at]), -ok[at])]
+    for record in bad:
+        test = example(records=[ok, record])(test)
+    return test
 
 
 def _first_rejection(records):
-    for a, b, c, _ in records:
+    for a, b, c, _, _ in records:
         try:
             _check_triple(a, b, c)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -434,6 +453,7 @@ def _first_rejection(records):
     return None
 
 
+@_one_example_per_clause
 @given(records=st.lists(_multiples(), max_size=6))
 def test_inline_tree_test_accepts_exactly_what_check_triple_accepts(records):
     module = importlib.import_module("triple_lattice.classify")
@@ -459,7 +479,10 @@ def test_verify_chain_counts_at_1e5():
 
 
 def _brute_force_multiples(c_max):
-    return ((t.a, t.b, t.c, gcd(t.a, t.b, t.c)) for t in brute_force_triples(c_max))
+    # Its own marks, not the tree's: k p is a Euclid triple iff k = s^2 or 2 s^2.
+    for t in brute_force_triples(c_max):
+        k = gcd(t.a, t.b, t.c)
+        yield t.a, t.b, t.c, k, is_perfect_square(k) or is_perfect_square(2 * k)
 
 
 @pytest.mark.parametrize("c_max", [5, 50, 500, 2500])
@@ -510,10 +533,14 @@ def test_verify_chain_bound_errors():
         verify_chain(4)
     with pytest.raises(BoundTooLarge):
         verify_chain(100, oracle_ceiling=50)
+    with pytest.raises(ValueError) as info:
+        verify_chain(100, oracle_ceiling=0)
+    assert info.type is ValueError
+    assert str(info.value) == "oracle_ceiling must be >= 1, got 0"
 
 
 # Fault injectors: each wraps a record source verify_chain calls in classify.
-# Stream records are (c, a, b, i, j); tree multiples are (a, b, c, k).
+# Stream records are (c, a, b, i, j); tree multiples are (a, b, c, k, euclid).
 
 
 def _drop_11th(stream):
@@ -531,6 +558,12 @@ def _both_leg_orders_of_11th(stream):
         r
         for i, (c, a, b, mu, n) in enumerate(stream(c_max))
         for r in (((c, a, b, mu, n), (c, b, a, mu, n)) if i == 10 else ((c, a, b, mu, n),))
+    )
+
+
+def _flip_mark_at(multiple):
+    return lambda tree: lambda c_max: (
+        (a, b, c, k, e != ((a, b, c, k) == multiple)) for a, b, c, k, e in tree(c_max)
     )
 
 
@@ -552,7 +585,7 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
             [
                 (
                     "_tree_multiples",
-                    lambda f: lambda c_max: (r for r in f(c_max) if r != (3, 4, 5, 1)),
+                    lambda f: lambda c_max: (r for r in f(c_max) if r[:4] != (3, 4, 5, 1)),
                 )
             ],
             (
@@ -623,7 +656,7 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
                 (
                     "_tree_multiples",
                     lambda f: lambda c_max: (
-                        r for r in f(c_max) for _ in range(1 + (r == (12, 16, 20, 4)))
+                        r for r in f(c_max) for _ in range(1 + (r[:4] == (12, 16, 20, 4)))
                     ),
                 )
             ],
@@ -664,7 +697,7 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
             [
                 (
                     "_tree_multiples",
-                    lambda f: lambda c_max: (r for r in f(c_max) if r != (33, 44, 55, 11)),
+                    lambda f: lambda c_max: (r for r in f(c_max) if r[:4] != (33, 44, 55, 11)),
                 )
             ],
             (
@@ -677,13 +710,24 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
                 (
                     "_tree_multiples",
                     lambda f: lambda c_max: (
-                        r for r in f(c_max) for _ in range(1 + (r == (33, 44, 55, 11)))
+                        r for r in f(c_max) for _ in range(1 + (r[:4] == (33, 44, 55, 11)))
                     ),
                 )
             ],
             (
                 "387 tree multiples, but the primitive lattice rows have 386 "
                 "multiples up to c = 500",
+            ),
+        ),
+        (
+            [("_tree_multiples", _flip_mark_at((24, 32, 40, 8)))],
+            ("1 Euclid triples outside the tree's prediction, e.g. (24, 32, 40)",),
+        ),
+        (
+            [("_tree_multiples", _flip_mark_at((15, 20, 25, 5)))],
+            (
+                "1 tree-predicted Euclid triples missing from the Euclid stream, "
+                "e.g. (15, 20, 25)",
             ),
         ),
     ],
@@ -702,6 +746,8 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
         "euclid-odd-leg-second",
         "tree-drop-outside-e",
         "tree-repeat-outside-e",
+        "tree-mark-dropped",
+        "tree-mark-added",
     ],
 )
 def test_verify_chain_reports_each_injected_fault(
@@ -786,7 +832,7 @@ def test_faulted_verify_chain_builds_a_triple_only_per_witness(name, fault, monk
     "name,corrupt,message",
     [
         # k = 5 lies outside E, so only the record's own check can see it.
-        ("_tree_multiples", lambda a, b, c, k: (a, b, c + (k == 5), k),
+        ("_tree_multiples", lambda a, b, c, k, e: (a, b, c + (k == 5), k, e),
          "not a Pythagorean triple: 15^2 + 20^2 != 26^2"),
         ("_lattice_records", lambda c, a, b, m, n: (c + 2 * (c == 65), a, b, m, n),
          "not a Pythagorean triple: 33^2 + 56^2 != 67^2"),
