@@ -342,7 +342,7 @@ def verify_chain(
         i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
         h = hash((a, b, c))
         c_gap[i] += h
-        if _is_primitive_at(m, n):
+        if _is_primitive_at(2 * m - 1, n):
             p0_gap[i] += h
             multiples += c_max // c
         elif witness_c_not_p0 is None:
@@ -441,7 +441,7 @@ def _name_discrepancies(c_max: int, bands: set[int]) -> tuple[str, ...]:
     repeats("lattice", (t for _, t in c_pairs))
     repeats("Euclid", e_records)
     for (m, n), t in c_pairs:
-        if _is_primitive_at(m, n) != (t in p0_set):
+        if _is_primitive_at(2 * m - 1, n) != (t in p0_set):
             discrepancies.append(f"primitivity mismatch at (m={m}, n={n}): {t}")
             named.add(t)
             break

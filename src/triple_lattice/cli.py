@@ -23,7 +23,6 @@ import errno
 import os
 import sys
 from itertools import chain, islice
-from math import gcd
 
 from . import core
 from .classify import DEFAULT_VERIFY_CEILING, classify, verify_chain
@@ -147,7 +146,7 @@ def _resolve_format(args: argparse.Namespace) -> str:
 
 
 def cmd_gen(args: argparse.Namespace, fmt: str) -> int:
-    a, b, c = core._lattice_abc(args.m, args.n)
+    a, b, c = core._abc(2 * args.m - 1, args.n)
     (row,) = _rows([(c, a, b, args.m, args.n)], "m")
     _emit([(*row, c - b, c - a)], LATTICE_FIELDS + ("d", "e"), fmt)
     return EXIT_OK
@@ -166,9 +165,11 @@ def cmd_inv(args: argparse.Namespace, fmt: str) -> int:
 def _rows(records, name):
     # Rows from plain (c, a, b, i, n) records, lattice ones when name is "m"
     # and extended ones when it is "mu", on the records series._valid passes.
+    # Both flag primitives by the paper's rule on column r of core._abc:
+    # r = 2i - 1 on the lattice and r = i (mu) in the extended form.
     lattice = name == "m"
     for c, a, b, i, n in _valid(records, name):
-        primitive = _is_primitive_at(i, n) if lattice else gcd(a, b, c) == 1
+        primitive = _is_primitive_at(2 * i - 1 if lattice else i, n)
         yield i, n, a, b, c, "true" if primitive else "false"
 
 

@@ -6,6 +6,14 @@ square 2n^2.  This module holds the forward map, its exact inverse, the
 classic two-parameter (u, v) form, the primitivity test, and the side
 decomposition (e, f, d) = (c-a, a+b-c, c-b).
 
+The lattice and the extended (mu, n) form are one column form: column r
+holds (r(r + 2n), 2n(n + r), r(r + 2n) + 2n^2) at row n, with r = 2m - 1 on
+the lattice and r = mu in the extended form.  _abc is that quadratic and
+_is_primitive_at the paper's primitivity rule on it, r odd and
+gcd(n, r) = 1; every lattice and extended triple and primitive flag in the
+package comes from these two.  euclid_triple stays an independent route to
+the same triples, and classify's gcd scale an independent test.
+
 Everything is pure integer arithmetic: square roots come from math.isqrt
 with an exact r*r == x verification, never floating point.  Components are
 range-checked against a 64-bit bound so oversized results surface as
@@ -72,9 +80,13 @@ def is_perfect_square(x: int) -> bool:
     return r * r == x
 
 
-def _require_positive_int(name: str, value: int, minimum: int = 1) -> None:
+def _require_int(name: str, value: int) -> None:
     if not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def _require_positive_int(name: str, value: int, minimum: int = 1) -> None:
+    _require_int(name, value)
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
@@ -220,7 +232,7 @@ def _in_order(a: int, b: int) -> bool:
 
 
 def triple_from_lattice(idx: LatticeIndex) -> Triple:
-    """Map lattice point (m, n) to its triple.
+    """Map lattice point (m, n) to its triple: column r = 2m - 1 of _abc.
 
     a = 4m^2 + 4nm - 4m - 2n + 1
     b = 2n^2 + 4nm - 2n
@@ -229,16 +241,20 @@ def triple_from_lattice(idx: LatticeIndex) -> Triple:
     The result always has a odd, b even, c odd, with c - b = (2m-1)^2 and
     c - a = 2n^2.  Raises OverflowError past the 64-bit width.
     """
-    return Triple(*_lattice_abc(idx.m, idx.n))
+    return Triple(*_abc(2 * idx.m - 1, idx.n))
 
 
-def _lattice_abc(m: int, n: int) -> tuple[int, int, int]:
-    """Unvalidated (a, b, c) at (m, n), via (d, e, f) = ((2m-1)^2, 2n^2, 2n(2m-1))."""
-    r = 2 * m - 1
-    f = 2 * n * r
-    e = 2 * n * n
-    a = r * r + f
-    return a, e + f, a + e
+def _abc(r: int, n: int) -> tuple[int, int, int]:
+    """Unvalidated (a, b, c) = (r(r + 2n), 2n(n + r), r(r + 2n) + 2n^2).
+
+    The one column form: column r = 2m - 1 at row n is lattice point (m, n),
+    and column r = mu is extended point (mu, n).  Its sides are
+    (d, e, f) = (r^2, 2n^2, 2nr), so c - b = r^2 and c - a = 2n^2; an even r
+    makes every component even.
+    """
+    twice_n = 2 * n
+    a = r * (r + twice_n)
+    return a, twice_n * (n + r), a + twice_n * n
 
 
 def lattice_from_triple(t: Triple) -> LatticeIndex:
@@ -263,24 +279,32 @@ def lattice_from_triple(t: Triple) -> LatticeIndex:
 def is_primitive_lattice(idx: LatticeIndex) -> bool:
     """True iff the triple at (m, n) is primitive: gcd(n, 2m-1) == 1.
 
-    2m-1 is odd, so even factors of n can never defeat the test; no
-    special-casing is needed for even n.
+    The paper's rule, _is_primitive_at on column r = 2m - 1.  2m-1 is odd,
+    so even factors of n can never defeat the test; no special-casing is
+    needed for even n.
     """
-    return _is_primitive_at(idx.m, idx.n)
+    return _is_primitive_at(2 * idx.m - 1, idx.n)
 
 
-def _is_primitive_at(m: int, n: int) -> bool:
-    """is_primitive_lattice on plain ints, for records that carry no index."""
-    return gcd(n, 2 * m - 1) == 1
+def _is_primitive_at(r: int, n: int) -> bool:
+    """True iff _abc(r, n) is primitive: r odd and gcd(n, r) == 1, a bool.
+
+    The paper's rule on plain ints, for the lattice (r = 2m - 1) and the
+    extended form (r = mu) alike.  An even r makes every component even.
+    With r odd, a is odd, so a prime divides all three components iff it
+    divides c - a = 2n^2 and c - b = r^2, that is n and r.
+    """
+    return r % 2 == 1 and gcd(n, r) == 1
 
 
 def extended_triple(idx: ExtendedIndex) -> Triple:
-    """Map extended point (mu, n) to its triple.
+    """Map extended point (mu, n) to its triple: column r = mu of _abc.
 
-    a = mu(2n + mu), b = 2n(n + mu), c = 2n^2 + mu(2n + mu); identical to
-    euclid_triple(u=n+mu, v=n).
+    a = mu(2n + mu), b = 2n(n + mu), c = 2n^2 + mu(2n + mu); the same
+    components, in the same order, as euclid_triple(u=n+mu, v=n), which
+    reaches them by its own formula.
     """
-    return euclid_triple(EuclidParams(idx.n + idx.mu, idx.n))
+    return Triple(*_abc(idx.mu, idx.n))
 
 
 def euclid_triple(p: EuclidParams) -> Triple:
@@ -323,20 +347,20 @@ def compose_def(e: int, f: int, d: int) -> Triple:
     """Rebuild the triple (f+d, e+f, e+d+f) from a verified decomposition.
 
     Accepts only e = 2n^2, d = (2m-1)^2 and f = 2n(2m-1) for some positive
-    integers m, n; anything else raises InvalidDecomposition.
+    integers m, n, and returns _abc(2m - 1, n); anything else raises
+    InvalidDecomposition.  Each argument must be an int (bool included),
+    checked in order e, f, d before any value, else TypeError.
     """
-    if e < 2 or e % 2:
+    for name, value in (("e", e), ("f", f), ("d", d)):
+        _require_int(name, value)
+    n = isqrt(max(e, 0) // 2)
+    if n < 1 or 2 * n * n != e:
         raise InvalidDecomposition(f"e = {e} is not twice a positive perfect square")
-    n = isqrt(e // 2)
-    if 2 * n * n != e:
-        raise InvalidDecomposition(f"e = {e} is not twice a positive perfect square")
-    if d < 1:
-        raise InvalidDecomposition(f"d = {d} is not an odd perfect square")
-    r = isqrt(d)
-    if r * r != d or r % 2 == 0:
+    r = isqrt(max(d, 0))
+    if r % 2 == 0 or r * r != d:
         raise InvalidDecomposition(f"d = {d} is not an odd perfect square")
     if f != 2 * n * r:
         raise InvalidDecomposition(
             f"f = {f} does not equal 2*sqrt(e/2)*sqrt(d) = {2 * n * r}"
         )
-    return Triple(f + d, e + f, e + d + f)
+    return Triple(*_abc(r, n))

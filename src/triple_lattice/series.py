@@ -1,8 +1,9 @@
 """Bounded, ordered streaming of triple series and whole lattice slices.
 
 Both forms are columns of one quadratic: column r holds, for j = 1, 2, ...,
-(a, b, c) = (r(r + 2j), 2j(j + r), r(r + 2j) + 2j^2), with r = 2m - 1 on
-the lattice (column m, step 2) and r = mu in the extended form (step 1).
+(a, b, c) = core._abc(r, j) = (r(r + 2j), 2j(j + r), r(r + 2j) + 2j^2),
+with r = 2m - 1 on the lattice (column m, step 2) and r = mu in the
+extended form (step 1).
 Every stream walks a line of the index lattice on which c rises (a
 column, a row, the diagonal) or merges all columns, carrying plain
 (c, a, b, i, j) tuples; Triple and index objects are built only at the
@@ -28,9 +29,9 @@ from .core import (
     ExtendedIndex,
     LatticeIndex,
     Triple,
+    _abc,
     _check_index,
     _check_triple,
-    _lattice_abc,
     _require_positive_int,
     _set,
     triple_from_lattice,
@@ -63,9 +64,12 @@ def _check_bound(c_max: int) -> None:
 
 
 def _walk(points: Iterable[tuple[int, int]], c_max: int) -> Iterator[_Record]:
-    """Yield (c, a, b, i, j) at each lattice point (i, j) in turn until c > c_max."""
+    """Yield (c, a, b, i, j) at each lattice point (i, j) in turn until c > c_max.
+
+    Lattice point (i, j) is _abc's column r = 2i - 1 at row j.
+    """
     for i, j in points:
-        a, b, c = _lattice_abc(i, j)
+        a, b, c = _abc(2 * i - 1, j)
         if c > c_max:
             return
         yield c, a, b, i, j
@@ -74,21 +78,23 @@ def _walk(points: Iterable[tuple[int, int]], c_max: int) -> Iterator[_Record]:
 def _merge(step: int, c_max: int) -> Iterator[_Record]:
     """Yield (c, a, b, i, j) over every column i, c then a ascending.
 
-    Column i has r = step*(i - 1) + 1: step 2 gives the lattice (r = 2m - 1)
-    and step 1 the extended form (r = mu).  Its records are the quadratic
-    (r(r + 2j), 2j(j + r), r(r + 2j) + 2j^2), computed here inline: along a
-    column c - b = r^2 stays put, so from j to j + 1 a rises by 2r and b and
-    c by 2(r + 2j + 1).  The heap holds one record per admitted column;
-    column i + 1 joins when column i's head (j = 1) is emitted.  c rises
-    along each column and heads rise with i, so no unadmitted column holds
-    an earlier record, and memory follows the columns the frontier has
-    reached, not c_max.  The least record is read at heap[0] and then
+    Column i is _abc's column r = step*(i - 1) + 1: step 2 gives the lattice
+    (r = 2m - 1) and step 1 the extended form (r = mu).  Each column's head
+    (j = 1) comes from _abc(r, 1), one call per admitted column; the
+    successor step walks _abc down the column inline, as it runs once per
+    record: along a column c - b = r^2 stays put, so from j to j + 1 a rises
+    by 2r and b and c by 2(r + 2j + 1).  The heap holds one record per
+    admitted column; column i + 1 joins when column i's head is emitted.  c
+    rises along each column and heads rise with i, so no unadmitted column
+    holds an earlier record, and memory follows the columns the frontier
+    has reached, not c_max.  The least record is read at heap[0] and then
     replaced by its column successor, or popped when that passes c_max: one
     heap sift per record.  Keys are unique, so no tie can make the order
     depend on the heap's layout.
     """
-    # Column 1 has r = 1 in both forms; its head is (3, 4, 5).
-    heap: list[_Record] = [(5, 3, 4, 1, 1)] if c_max >= 5 else []
+    # Column 1 has r = 1 in both forms.
+    a, b, c = _abc(1, 1)
+    heap: list[_Record] = [(c, a, b, 1, 1)] if c <= c_max else []
     shift = 1 - step
     while heap:
         record = heap[0]
@@ -102,10 +108,9 @@ def _merge(step: int, c_max: int) -> Iterator[_Record]:
         else:
             heappop(heap)
         if j == 1:
-            r += step
-            a = r * (r + 2)
-            if a + 2 <= c_max:
-                heappush(heap, (a + 2, a, 2 * r + 2, i + 1, 1))
+            a, b, c = _abc(r + step, 1)
+            if c <= c_max:
+                heappush(heap, (c, a, b, i + 1, 1))
 
 
 def _triples(records: Iterator[_Record]) -> Iterator[Triple]:
@@ -182,12 +187,12 @@ def _pythagorean_records(count: int) -> Iterator[_Record]:
     c rises along a family, so the last member's c bounds the walk and it
     never stops early; a member past U64_MAX fails its own check instead.
     """
-    return _walk(zip(repeat(1), range(1, count + 1)), _lattice_abc(1, count)[2])
+    return _walk(zip(repeat(1), range(1, count + 1)), _abc(1, count)[2])
 
 
 def _platonic_records(count: int) -> Iterator[_Record]:
     """The first count members of the Platonic family (n = 1), bounded alike."""
-    return _walk(zip(range(1, count + 1), repeat(1)), _lattice_abc(count, 1)[2])
+    return _walk(zip(range(1, count + 1), repeat(1)), _abc(2 * count - 1, 1)[2])
 
 
 def odd_series(m: int, c_max: int) -> Iterator[Triple]:

@@ -610,7 +610,7 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
             [
                 (
                     "_is_primitive_at",
-                    lambda f: lambda m, n: f(m, n) != ((m, n) == (2, 3)),
+                    lambda f: lambda r, n: f(r, n) != ((r, n) == (3, 3)),
                 )
             ],
             ("primitivity mismatch at (m=2, n=3): (27, 36, 45)",),
@@ -808,7 +808,7 @@ def test_naming_pass_walks_no_further_than_its_highest_band(monkeypatch):
     "name,fault",
     [
         ("_lattice_records", _drop_11th),
-        ("_is_primitive_at", lambda f: lambda m, n: f(m, n) != ((m, n) == (2, 3))),
+        ("_is_primitive_at", lambda f: lambda r, n: f(r, n) != ((r, n) == (3, 3))),
     ],
     ids=["lattice-drop", "primitivity-flip"],
 )

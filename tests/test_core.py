@@ -21,6 +21,8 @@ from triple_lattice.core import (
     LatticeIndex,
     NotInClassC,
     Triple,
+    _abc,
+    _is_primitive_at,
     canonicalize,
     compose_def,
     decompose,
@@ -320,6 +322,24 @@ def test_primitivity_matches_component_gcd(m, n):
     )
 
 
+def test_column_primitivity_rule_matches_component_gcd_on_both_parities():
+    # The paper's rule on column r, r odd (the lattice) and r even (the
+    # extended form's all-even columns) alike; always a bool.
+    for r in range(1, 201):
+        for n in range(1, 201):
+            got = _is_primitive_at(r, n)
+            assert type(got) is bool
+            assert got == (gcd(*_abc(r, n)) == 1), (r, n)
+
+
+def test_column_form_matches_euclid_substitution_on_both_parities():
+    # Column r at row n is Euclid's (u, v) = (n + r, n), by its own formula.
+    for r in range(1, 201):
+        for n in range(1, 201):
+            t = euclid_triple(EuclidParams(n + r, n))
+            assert _abc(r, n) == (t.a, t.b, t.c), (r, n)
+
+
 # -------------------------------------------------------------- extended lattice
 
 
@@ -336,6 +356,14 @@ def test_extended_triple_golden(mu, n, expected):
 def test_extended_matches_euclid_substitution(mu, n):
     assert extended_triple(ExtendedIndex(mu, n)) == euclid_triple(
         EuclidParams(n + mu, n)
+    )
+
+
+def test_extended_triple_overflow_text():
+    with pytest.raises(OverflowError) as info:
+        extended_triple(ExtendedIndex(2**33, 2**33))
+    assert str(info.value) == (
+        "component 221360928884514619392 exceeds the checked 64-bit width"
     )
 
 
@@ -452,6 +480,44 @@ def test_compose_def_golden(e, f, d, expected):
 def test_compose_def_rejects_bad_vectors(e, f, d):
     with pytest.raises(InvalidDecomposition):
         compose_def(e, f, d)
+
+
+@pytest.mark.parametrize("at", range(3), ids=["e", "f", "d"])
+@pytest.mark.parametrize(
+    "bad,kind", [(2.0, "float"), ("x", "str"), (None, "NoneType")], ids=["float", "str", "None"]
+)
+def test_compose_def_rejects_non_int_arguments(at, bad, kind):
+    # Types are checked in order e, f, d before any value: the first non-int
+    # argument is named, though the ones before it hold bad values and the
+    # ones after it may be non-ints too.
+    for later in (0, 1.5):
+        with pytest.raises(TypeError) as info:
+            compose_def(*[0] * at, bad, *[later] * (2 - at))
+        assert str(info.value) == f"{'efd'[at]} must be an int, got {kind}"
+
+
+@pytest.mark.parametrize(
+    "e,f,d,text",
+    [
+        (3, 2, 1, "e = 3 is not twice a positive perfect square"),
+        (0, 2, 1, "e = 0 is not twice a positive perfect square"),
+        (-2, 2, 1, "e = -2 is not twice a positive perfect square"),
+        (2, 2, 4, "d = 4 is not an odd perfect square"),
+        (2, 2, -9, "d = -9 is not an odd perfect square"),
+        (2, 4, 1, "f = 4 does not equal 2*sqrt(e/2)*sqrt(d) = 2"),
+    ],
+)
+def test_compose_def_value_error_texts(e, f, d, text):
+    with pytest.raises(InvalidDecomposition) as info:
+        compose_def(e, f, d)
+    assert str(info.value) == text
+
+
+def test_compose_def_accepts_bool_as_int():
+    # bool is an int here as in every other check: True is 1, a valid d.
+    assert compose_def(2, 2, True) == Triple(3, 4, 5)
+    with pytest.raises(InvalidDecomposition, match="e = True is not twice"):
+        compose_def(True, 2, 1)
 
 
 @given(m=idx, n=idx)

@@ -347,7 +347,7 @@ def _records(draw):
         return tuple(draw(_FIELD) for _ in range(5))
     m, n = draw(st.integers(1, 50)), draw(st.integers(1, 50))
     k = draw(st.sampled_from([1, 2, 3, U64_MAX // (4 * m * m + 1) // 9, U64_MAX // 5 + 1]))
-    a, b, c = (k * v for v in series._lattice_abc(m, n))
+    a, b, c = (k * v for v in series._abc(2 * m - 1, n))
     if draw(st.booleans()):
         a, b = b, a
     record = [c, a, b, m, n]
