@@ -73,7 +73,7 @@ class BoundTooLarge(ValueError):
     """Requested bound exceeds the configured oracle ceiling."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassReport:
     """Membership flags for one candidate triple, plus recovered parameters.
 
@@ -236,7 +236,7 @@ def berggren_triples(
     return {Triple(a, b, c) for a, b, c, _, _ in _tree_multiples(c_max)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainReport:
     """Outcome of one chain verification run.
 

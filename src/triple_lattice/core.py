@@ -21,14 +21,15 @@ OverflowError instead of silently growing (Python integers never wrap;
 the check keeps behaviour aligned with fixed-width ports).
 
 The value types (Triple, LatticeIndex, ExtendedIndex, EuclidParams,
-Decomposition) are frozen dataclasses whose own __init__ checks its
-arguments first and only then stores them, one object.__setattr__ per
-field, so a valid value costs its checks and its stores and nothing more.
-dataclasses.replace goes through the same __init__, so it checks too.
-series._valid applies the index and Triple checks to every plain record of
-the lattice and extended streams, the CLI's rows and verify_chain; the
-indexed streams then make the same stores for their index and Triple
-objects without a constructor call per object.
+Decomposition) are slotted frozen dataclasses: each field lives in a slot,
+and there is no instance __dict__.  Their own __init__ checks its
+arguments first and only then writes each slot, so a valid value costs its
+checks and its stores and nothing more.  dataclasses.replace goes through
+the same __init__, so it checks too.  series._valid applies the index and
+Triple checks to every plain record of the lattice and extended streams,
+the CLI's rows and verify_chain; the indexed streams then write the same
+slots for their index and Triple objects without a constructor call per
+object.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _check_index(name: str, i: int, n: int) -> None:
         _require_positive_int("n", n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """An ordered Pythagorean triple: a*a + b*b == c*c, all components >= 1.
 
@@ -144,7 +145,7 @@ class Triple:
         _set(self, "c", c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeIndex:
     """Lattice point (m, n), m >= 1, n >= 1, addressing one triple."""
 
@@ -157,7 +158,7 @@ class LatticeIndex:
         _set(self, "n", n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtendedIndex:
     """Extended lattice point (mu, n) where mu replaces the odd value 2m-1.
 
@@ -174,7 +175,7 @@ class ExtendedIndex:
         _set(self, "n", n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EuclidParams:
     """Parameters (u, v), u > v >= 1, of the form (u^2-v^2, 2uv, u^2+v^2)."""
 
@@ -190,7 +191,7 @@ class EuclidParams:
         _set(self, "v", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     """Side differences (e, f, d) = (c - a, a + b - c, c - b) of a triple.
 

@@ -11,8 +11,9 @@ public edge.  The Triple-only streams call Triple there.  The indexed
 lattice and extended streams build each pair without a constructor call:
 _valid, the package's one copy of the record rule, accepts just what the
 constructors accept (a record that fails it raises what they raise), and
-each object is made by object.__new__ and the constructors' own field
-stores, so it is indistinguishable from one its constructor built.
+each object is made by object.__new__ and a store through each field's
+slot descriptor, the same slot write the constructors make, so it is
+indistinguishable from one its constructor built.
 Streams are single-consumer iterators; merged slices come out c
 ascending, then a.  Each stream checks c_max <= U64_MAX once, at call
 time, which bounds every component it can yield.
@@ -33,7 +34,6 @@ from .core import (
     _check_index,
     _check_triple,
     _require_positive_int,
-    _set,
     triple_from_lattice,
 )
 
@@ -140,22 +140,32 @@ def _valid(records: Iterable[_Record], name: str) -> Iterator[_Record]:
         yield record
 
 
+#: Each streamed type's slot setters, in field order: a slot descriptor's
+#: __set__ is the slot write object.__setattr__ reaches from __init__.
+_SETTERS = {
+    cls: tuple(getattr(cls, field).__set__ for field in cls.__slots__)
+    for cls in (Triple, LatticeIndex, ExtendedIndex)
+}
+
+
 def _indexed(
     records: Iterator[_Record], index: type[LatticeIndex | ExtendedIndex]
 ) -> Iterator[tuple[LatticeIndex | ExtendedIndex, Triple]]:
     # (index(i, n), Triple(a, b, c)) without either call, on the records
-    # _valid passes.  The stores are the constructors' own, field by field
-    # in __init__'s order; name is the index's first field, "m" or "mu".
+    # _valid passes.  Each field is written through its slot, in __init__'s
+    # order; name is the index's first field, "m" or "mu".
     name = index.__match_args__[0]
+    set_i, set_n = _SETTERS[index]
+    set_a, set_b, set_c = _SETTERS[Triple]
     new = object.__new__
     for c, a, b, i, n in _valid(records, name):
         idx = new(index)
-        _set(idx, name, i)
-        _set(idx, "n", n)
+        set_i(idx, i)
+        set_n(idx, n)
         t = new(Triple)
-        _set(t, "a", a)
-        _set(t, "b", b)
-        _set(t, "c", c)
+        set_a(t, a)
+        set_b(t, b)
+        set_c(t, c)
         yield idx, t
 
 
@@ -185,14 +195,19 @@ def _pythagorean_records(count: int) -> Iterator[_Record]:
     """The first count members of the Pythagorean family (m = 1), as records.
 
     c rises along a family, so the last member's c bounds the walk and it
-    never stops early; a member past U64_MAX fails its own check instead.
+    never stops early.  That bound is checked like c_max, at call time, so a
+    count whose last member passes U64_MAX fails before the first record.
     """
-    return _walk(zip(repeat(1), range(1, count + 1)), _abc(1, count)[2])
+    c_max = _abc(1, count)[2]
+    _check_bound(c_max)
+    return _walk(zip(repeat(1), range(1, count + 1)), c_max)
 
 
 def _platonic_records(count: int) -> Iterator[_Record]:
     """The first count members of the Platonic family (n = 1), bounded alike."""
-    return _walk(zip(range(1, count + 1), repeat(1)), _abc(2 * count - 1, 1)[2])
+    c_max = _abc(2 * count - 1, 1)[2]
+    _check_bound(c_max)
+    return _walk(zip(range(1, count + 1), repeat(1)), c_max)
 
 
 def odd_series(m: int, c_max: int) -> Iterator[Triple]:

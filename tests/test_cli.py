@@ -10,7 +10,7 @@ from itertools import count
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triple_lattice import (
@@ -609,18 +609,20 @@ def test_every_streamed_index_is_checked(run, monkeypatch, source, corrupt, argv
 
 
 @pytest.mark.parametrize(
-    "kind,before,err",
-    [("pythagorean", 6, "error: component 112 exceeds the checked 64-bit width\n"),
-     ("platonic", 4, "error: component 101 exceeds the checked 64-bit width\n")],
+    "kind,within,err",
+    [("pythagorean", 6, "error: c_max = 113 exceeds the checked 64-bit width\n"),
+     ("platonic", 4, "error: c_max = 101 exceeds the checked 64-bit width\n")],
+    ids=["pythagorean", "platonic"],
 )
-def test_family_member_past_the_width_exits_3_after_the_rows_before_it(
-    run, monkeypatch, kind, before, err
+def test_family_member_past_the_width_exits_3_before_any_row(
+    run, monkeypatch, kind, within, err
 ):
+    # Under a width of 100 the first `within` members fit and the next does
+    # not: one more member fails the whole request before its first row.
     clean = run("family", kind)[1].splitlines()
     monkeypatch.setattr(core, "U64_MAX", 100)
-    code, out, error = run("family", kind)
-    assert (code, error) == (3, err)
-    assert out.splitlines() == clean[:before]
+    assert run("family", kind, "--count", str(within)) == (0, "\n".join(clean[:within]) + "\n", "")
+    assert run("family", kind, "--count", str(within + 1)) == (3, "", err)
 
 
 class _WriteOnly:
@@ -631,6 +633,56 @@ class _WriteOnly:
     def write(self, s):
         self.text += s
         return len(s)
+
+
+class _ClosesAfter(_WriteOnly):
+    # A write-only stdout whose reader goes away after `writes` writes.
+    def __init__(self, writes):
+        super().__init__()
+        self.writes = writes
+
+    def write(self, s):
+        if not self.writes:
+            raise BrokenPipeError
+        self.writes -= 1
+        return super().write(s)
+
+
+# The largest counts whose last member still fits in 64 bits: the Platonic
+# member 2k (c = 4k^2 + 1) and the Pythagorean member k (c = 2k^2 + 2k + 1).
+_FAMILY_WIDTH = {"platonic": 2**31 - 1, "pythagorean": 3_037_000_499}
+_FAMILY = {"platonic": platonic_family, "pythagorean": pythagorean_family}
+
+
+@settings(deadline=None)
+@given(
+    kind=st.sampled_from(list(_FAMILY_WIDTH)),
+    count=st.tuples(
+        st.sampled_from([1, *_FAMILY_WIDTH.values(), 2**32]), st.integers(-2, 2)
+    ).map(sum).filter(lambda k: k >= 1),
+)
+@example(kind="platonic", count=2**31 - 1)
+@example(kind="platonic", count=2**31)
+@example(kind="pythagorean", count=3_037_000_499)
+@example(kind="pythagorean", count=3_037_000_500)
+def test_family_past_the_width_fails_before_its_first_row(kind, count):
+    last_c = 4 * count**2 + 1 if kind == "platonic" else 2 * count**2 + 2 * count + 1
+    assert (last_c <= core.U64_MAX) == (count <= _FAMILY_WIDTH[kind])
+    # The first write holds one row and the second 256; then the pipe closes.
+    out, err = _ClosesAfter(2), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["family", kind, "--count", str(count)])
+    if last_c > core.U64_MAX:
+        assert (code, out.text) == (3, "")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
+    else:
+        assert (code, err.getvalue()) == (0, "")
+        rows = [(r["a"], r["b"], r["c"]) for r in lines(out.text)]
+        assert len(rows) == min(count, 257)
+        assert rows == [
+            (t.a, t.b, t.c) for t in map(_FAMILY[kind], range(1, len(rows) + 1))
+        ]
 
 
 @pytest.mark.parametrize("fmt", ["json-lines", "csv"])

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import importlib
 import pickle
+import weakref
 from math import gcd
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import triple_lattice
-from triple_lattice.classify import brute_force_triples
+from triple_lattice.classify import brute_force_triples, classify, verify_chain
 from triple_lattice.core import (
     U64_MAX,
     Decomposition,
@@ -37,6 +38,13 @@ from triple_lattice.core import (
 from triple_lattice.series import lattice_enumerate
 
 idx = st.integers(min_value=1, max_value=400)
+
+
+def slot_values(value):
+    # vars() for a slotted value: its fields by slot, in slot order.  An
+    # unset slot raises AttributeError, so this is as strict as vars().
+    assert not hasattr(value, "__dict__")
+    return {name: getattr(value, name) for name in type(value).__slots__}
 
 
 # -------------------------------------------------------------- public surface
@@ -150,7 +158,37 @@ def test_constructor_error_contract(cls, args, exc, message):
 )
 def test_constructor_accepts_int_subclasses_and_wide_indices(cls, args):
     # bool is an int, so True passes as 1; the width bound is Triple's alone.
-    assert tuple(vars(cls(*args)).values()) == args
+    assert tuple(slot_values(cls(*args)).values()) == args
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Triple(3, 4, 5),
+        LatticeIndex(2, 3),
+        ExtendedIndex(2, 3),
+        EuclidParams(2, 1),
+        Decomposition(2, 6, 9),
+        classify(27, 36, 45),
+        verify_chain(100),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_every_dataclass_is_slotted(value):
+    cls = type(value)
+    assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+    with pytest.raises(TypeError):
+        vars(value)
+    with pytest.raises(TypeError):
+        weakref.ref(value)
+    for copied in (
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+        dataclasses.replace(value),
+    ):
+        assert type(copied) is cls and copied == value and hash(copied) == hash(value)
+        assert slot_values(copied) == slot_values(value)
 
 
 @pytest.mark.parametrize("u,v", [(2, 2), (1, 2), (3, 0)])

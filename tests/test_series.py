@@ -42,6 +42,13 @@ def as_tuples(stream):
     return [(t.a, t.b, t.c) for t in stream]
 
 
+def slot_values(value):
+    # vars() for a slotted value: its fields by slot, in slot order.  An
+    # unset slot raises AttributeError, so this is as strict as vars().
+    assert not hasattr(value, "__dict__")
+    return {name: getattr(value, name) for name in type(value).__slots__}
+
+
 # ----------------------------------------------------------------- odd and even
 
 
@@ -226,7 +233,7 @@ def test_merge_matches_sorted_grid_at_every_bound(enumerate_indexed, point):
     grid = _sorted_grid(point)
     for c_max in sorted({*range(1, 401), *_HEAD_BOUNDS}):
         stream = enumerate_indexed(c_max)
-        got = [(*vars(idx).values(), t.a, t.b, t.c) for idx, t in stream]
+        got = [(*slot_values(idx).values(), t.a, t.b, t.c) for idx, t in stream]
         assert got == [r for r in grid if r[4] <= c_max], c_max
 
 
@@ -297,7 +304,7 @@ def _assert_built_like_its_constructor(value, cls):
     built = cls(*(getattr(value, name) for name in fields))
     assert value == built and hash(value) == hash(built)
     assert repr(value) == repr(built)
-    assert list(vars(value).items()) == list(vars(built).items())
+    assert list(slot_values(value).items()) == list(slot_values(built).items())
     assert dataclasses.asdict(value) == dataclasses.asdict(built)
     for copied in (
         pickle.loads(pickle.dumps(value)),
@@ -311,7 +318,7 @@ def _assert_built_like_its_constructor(value, cls):
             setattr(value, name, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(value, name)
-    assert vars(value) == vars(built)
+    assert slot_values(value) == slot_values(built)
 
 
 @pytest.mark.parametrize("c_max", [37, 997, 10**6, U64_MAX])
