@@ -5,10 +5,11 @@ Both forms are columns of one quadratic: column r holds, for j = 1, 2, ...,
 with r = 2m - 1 on the lattice (column m, step 2) and r = mu in the
 extended form (step 1).
 Every stream walks a line of the index lattice on which c rises (a
-column, a row, the diagonal) or merges all columns, carrying plain
-(c, a, b, i, j) tuples; Triple and index objects are built only at the
-public edge.  The Triple-only streams call Triple there.  The indexed
-lattice and extended streams build each pair without a constructor call:
+column, a row, the diagonal) or merges all columns, one band of c at a
+time sorted once, carrying plain (c, a, b, i, j) tuples; Triple and
+index objects are built only at the public edge.  The Triple-only
+streams call Triple there.  The indexed lattice and extended streams
+build each pair without a constructor call:
 _valid, the package's one copy of the record rule, accepts just what the
 constructors accept (a record that fails it raises what they raise), and
 each object is made by object.__new__ and a store through each field's
@@ -22,7 +23,6 @@ time, which bounds every component it can yield.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from heapq import heappop, heappush, heapreplace
 from itertools import count, repeat
 
 from . import core
@@ -79,38 +79,67 @@ def _merge(step: int, c_max: int) -> Iterator[_Record]:
     """Yield (c, a, b, i, j) over every column i, c then a ascending.
 
     Column i is _abc's column r = step*(i - 1) + 1: step 2 gives the lattice
-    (r = 2m - 1) and step 1 the extended form (r = mu).  Each column's head
-    (j = 1) comes from _abc(r, 1), one call per admitted column; the
-    successor step walks _abc down the column inline, as it runs once per
-    record: along a column c - b = r^2 stays put, so from j to j + 1 a rises
-    by 2r and b and c by 2(r + 2j + 1).  The heap holds one record per
-    admitted column; column i + 1 joins when column i's head is emitted.  c
-    rises along each column and heads rise with i, so no unadmitted column
-    holds an earlier record, and memory follows the columns the frontier
-    has reached, not c_max.  The least record is read at heap[0] and then
-    replaced by its column successor, or popped when that passes c_max: one
-    heap sift per record.  Keys are unique, so no tie can make the order
-    depend on the heap's layout.
+    (r = 2m - 1) and step 1 the extended form (r = mu).  Column 1's head,
+    (5, 3, 4, 1, 1) in both forms, is yielded before any other work.  The
+    rest comes out one band (lo, hi] of c at a time: each column whose head
+    (j = 1, from _abc(r, 1), one call per column) is <= hi joins, in i order,
+    and every column appends its records with c <= hi to the band; one sort
+    then puts the band in order.  The successor step walks _abc down the
+    column inline, as it runs once per record: along a column c - b = r^2
+    stays put, so from j to j + 1 a rises by 2r and b and c by 2(r + 2j + 1),
+    a rise that grows by 4 with each step.  Each column keeps one cursor,
+    its next record, and leaves once that passes c_max.  c rises along each
+    column and heads rise with i, so no column that has not joined holds a
+    record in the band, and (c, a) is unique, so sorting whole records
+    gives c then a.  The band's width starts at 1 and doubles after a band
+    of fewer than max(256, columns) records: a band holds a small multiple
+    of the columns the frontier has reached, so memory follows those
+    columns, not c_max.
     """
     # Column 1 has r = 1 in both forms.
-    a, b, c = _abc(1, 1)
-    heap: list[_Record] = [(c, a, b, 1, 1)] if c <= c_max else []
+    a, b, lo = _abc(1, 1)
+    if lo > c_max:
+        return
+    yield lo, a, b, 1, 1
     shift = 1 - step
-    while heap:
-        record = heap[0]
-        yield record
-        c, a, b, i, j = record
-        r = step * i + shift
-        rise = 2 * (r + j + j + 1)
-        c += rise
-        if c <= c_max:
-            heapreplace(heap, (c, a + r + r, b + rise, i, j + 1))
-        else:
-            heappop(heap)
-        if j == 1:
-            a, b, c = _abc(r + step, 1)
-            if c <= c_max:
-                heappush(heap, (c, a, b, i + 1, 1))
+    a, b, c = _abc(1, 2)
+    columns: list[_Record] = [(c, a, b, 1, 2)]
+    a, b, c = _abc(1 + step, 1)
+    head: _Record = (c, a, b, 2, 1)
+    width = 1
+    while lo < c_max:
+        hi = min(lo + width, c_max)
+        while head[0] <= hi:
+            columns.append(head)
+            i = head[3] + 1
+            a, b, c = _abc(step * i + shift, 1)
+            head = (c, a, b, i, 1)
+        band: list[_Record] = []
+        add = band.append
+        kept: list[_Record] = []
+        keep = kept.append
+        for cursor in columns:
+            c, a, b, i, j = cursor
+            if c <= hi:
+                r2 = 2 * (step * i + shift)
+                rise = r2 + 4 * j + 2
+                while c <= hi:
+                    add((c, a, b, i, j))
+                    c += rise
+                    a += r2
+                    b += rise
+                    rise += 4
+                    j += 1
+                if c > c_max:
+                    continue
+                cursor = (c, a, b, i, j)
+            keep(cursor)
+        columns = kept
+        band.sort()
+        yield from band
+        if len(band) < max(256, len(columns)):
+            width += width
+        lo = hi
 
 
 def _triples(records: Iterator[_Record]) -> Iterator[Triple]:
@@ -191,22 +220,31 @@ def _extended_records(c_max: int) -> Iterator[_Record]:
     return _merge(1, c_max)
 
 
+def _check_family(count: int, c_max: int) -> None:
+    # A family's count is checked like a bound, by its last member's c,
+    # and named as itself: the caller gave a count, not a c_max.
+    if c_max > core.U64_MAX:
+        raise OverflowError(
+            f"family member {count} has c = {c_max}, past the checked 64-bit width"
+        )
+
+
 def _pythagorean_records(count: int) -> Iterator[_Record]:
     """The first count members of the Pythagorean family (m = 1), as records.
 
     c rises along a family, so the last member's c bounds the walk and it
-    never stops early.  That bound is checked like c_max, at call time, so a
-    count whose last member passes U64_MAX fails before the first record.
+    never stops early.  That bound is checked at call time, so a count
+    whose last member passes U64_MAX fails before the first record.
     """
     c_max = _abc(1, count)[2]
-    _check_bound(c_max)
+    _check_family(count, c_max)
     return _walk(zip(repeat(1), range(1, count + 1)), c_max)
 
 
 def _platonic_records(count: int) -> Iterator[_Record]:
     """The first count members of the Platonic family (n = 1), bounded alike."""
     c_max = _abc(2 * count - 1, 1)[2]
-    _check_bound(c_max)
+    _check_family(count, c_max)
     return _walk(zip(range(1, count + 1), repeat(1)), c_max)
 
 

@@ -4,10 +4,13 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import count
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -610,8 +613,8 @@ def test_every_streamed_index_is_checked(run, monkeypatch, source, corrupt, argv
 
 @pytest.mark.parametrize(
     "kind,within,err",
-    [("pythagorean", 6, "error: c_max = 113 exceeds the checked 64-bit width\n"),
-     ("platonic", 4, "error: c_max = 101 exceeds the checked 64-bit width\n")],
+    [("pythagorean", 6, "error: family member 7 has c = 113, past the checked 64-bit width\n"),
+     ("platonic", 4, "error: family member 5 has c = 101, past the checked 64-bit width\n")],
     ids=["pythagorean", "platonic"],
 )
 def test_family_member_past_the_width_exits_3_before_any_row(
@@ -1005,16 +1008,23 @@ def test_verify_matches_library(run):
 
 # ------------------------------------------------------------- arbitrary argv
 
-# Bounds that run stay small; a value of 2**64 or more only goes where it is
-# rejected before any work (a bound past the 64-bit width, or past the
-# oracle ceiling, which is never drawn large).  Junk holds no decimal digit
-# of any script: int() reads those, so junk could otherwise be a big bound.
+# Values run as drawn, into a stdout that closes after a few writes, so a
+# bound up to the 64-bit top streams only a few rows.  Only what writes
+# nothing stays small: the oracle ceiling, never drawn large, holds verify
+# to bounds it can walk at once, and a family --count is drawn small or at
+# an edge its last member passes.  Junk holds no decimal digit of any
+# script: int() reads those, so junk could otherwise be a big bound.
 JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+EDGE = st.sampled_from([1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 2**64]).map(str)
 SMALL = st.one_of(st.sampled_from(["-1", "0"]), st.integers(1, 300).map(str), JUNK)
-ANY = st.one_of(SMALL, st.integers(1, 300).map(str), st.integers(2**64, 2**70).map(str))
+ANY = st.one_of(SMALL, st.integers(1, 300).map(str), st.integers(2**64, 2**70).map(str), EDGE)
 FORMAT = st.sampled_from(
     [[], ["--format", "csv"], ["--format", "table"], ["--format", "xml"]]
 )
+FORMAT_VALUE = st.sampled_from([None, "json-lines", "csv", "table", "xml"])
+# The line that names why a run failed: argparse's after its usage lines,
+# or the one line _note writes for every other failure.
+ERROR_LINE = re.compile(r"(triple-lattice( \w+)?: )?error: |not in class C: ")
 
 
 def _argv(command, *parts):
@@ -1031,16 +1041,39 @@ ARGV = st.one_of(
     _argv("series", st.sampled_from(["odd", "even"]) | JUNK, ANY, st.just("--c-max"), ANY),
     _argv("verify", st.just("--c-max"), ANY, st.just("--oracle-ceiling"), SMALL),
     _argv("verify", st.just("--c-max"), ANY),
-    _argv("family", st.sampled_from(["pythagorean", "platonic"]) | JUNK, st.just("--count"), SMALL),
+    _argv("family", st.sampled_from(["pythagorean", "platonic"]) | JUNK, st.just("--count"), SMALL | EDGE),
     st.lists(JUNK, max_size=4),
 )
 
 
+def _bound_past_the_width(argv) -> bool:
+    # A --c-max past U64_MAX, or a --count whose last family member's c is.
+    for flag, value in zip(argv, argv[1:]):
+        if flag in ("--c-max", "--count") and value.isdecimal():
+            k = int(value)
+            if flag == "--count":
+                k = 2 * k * k + 2 * k + 1 if argv[1] == "pythagorean" else 4 * k * k + 1
+            if k > core.U64_MAX:
+                return True
+    return False
+
+
 @settings(deadline=None)
-@given(argv=ARGV)
-def test_arbitrary_argv_exits_with_a_documented_code(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+@given(argv=ARGV, fmt=FORMAT_VALUE, writes=st.integers(0, 3))
+@example(argv=["enum", "--c-max", str(2**64 - 1)], fmt=None, writes=2)
+@example(argv=["enum", "--c-max", str(2**64 - 1), "--mode=extended"], fmt="csv", writes=3)
+@example(argv=["family", "platonic", "--count", str(2**32 + 1)], fmt="table", writes=3)
+def test_arbitrary_argv_exits_with_a_documented_code(argv, fmt, writes):
+    out, err = _ClosesAfter(writes), io.StringIO()
+    env = {} if fmt is None else {FORMAT_ENV: fmt}
+    with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    assert code in {0, 2, 3, 4, 5}
+    assert code in {0, 1, 2, 3, 4, 5}
     assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().endswith("\n")
+        assert sum(map(bool, map(ERROR_LINE.match, err.getvalue().splitlines()))) == 1
+    else:
+        assert err.getvalue() == ""
+    if _bound_past_the_width(argv):
+        assert out.text == ""

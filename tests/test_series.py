@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import operator
 import pickle
+from bisect import bisect_right
 from itertools import islice
 from math import gcd
 from unittest import mock
@@ -201,6 +202,10 @@ _HEAD_BOUNDS = sorted(
     }
 )
 _GRID_SIDE = 64
+_RECORDS = {
+    lattice_enumerate_indexed: series._lattice_records,
+    extended_enumerate_indexed: series._extended_records,
+}
 
 
 def _lattice_point(m, n):
@@ -230,11 +235,19 @@ def _sorted_grid(point):
     ],
 )
 def test_merge_matches_sorted_grid_at_every_bound(enumerate_indexed, point):
+    # The merge's band edges move with c_max, so every bound up to 3,000 is
+    # checked on the stream's records, and the indexed pairs at the first
+    # 400 bounds and at the heads.
     grid = _sorted_grid(point)
-    for c_max in sorted({*range(1, 401), *_HEAD_BOUNDS}):
-        stream = enumerate_indexed(c_max)
-        got = [(*slot_values(idx).values(), t.a, t.b, t.c) for idx, t in stream]
-        assert got == [r for r in grid if r[4] <= c_max], c_max
+    hypotenuses = [r[4] for r in grid]
+    records = _RECORDS[enumerate_indexed]
+    for c_max in sorted({*range(1, 3001), *_HEAD_BOUNDS}):
+        expected = grid[: bisect_right(hypotenuses, c_max)]
+        assert list(records(c_max)) == [(c, a, b, i, j) for i, j, a, b, c in expected], c_max
+        if c_max <= 400 or c_max in _HEAD_BOUNDS:
+            stream = enumerate_indexed(c_max)
+            got = [(*slot_values(idx).values(), t.a, t.b, t.c) for idx, t in stream]
+            assert got == expected, c_max
 
 
 # -------------------------------------------------------------------- families

@@ -12,19 +12,13 @@ import os
 import resource
 import subprocess
 import sys
-import tracemalloc
-from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import triple_lattice
 from triple_lattice.cli import main
-from triple_lattice.series import (
-    extended_enumerate_indexed,
-    lattice_enumerate_indexed,
-    odd_series,
-)
+from triple_lattice.series import odd_series
 
 SRC = str(Path(triple_lattice.__file__).resolve().parents[1])
 LIMIT_BYTES = 512 * 2**20
@@ -50,17 +44,55 @@ def _run(*args: str) -> tuple[int, str, str]:
     return proc.returncode, out, err
 
 
-@pytest.mark.parametrize("stream", [lattice_enumerate_indexed, extended_enumerate_indexed])
-def test_stream_memory_follows_the_frontier_not_the_bound(stream):
-    expected = list(islice(stream(10**6), 1000))
+FRONTIER_PROBE = """
+import json, sys, tracemalloc
+from itertools import islice
+from triple_lattice import U64_MAX, series
+
+stream, records = (getattr(series, name) for name in sys.argv[1:])
+expected = list(islice(stream(10**6), 1000))
+peaks = {}
+
+
+def traced(count):
     tracemalloc.start()
     try:
-        got = sum(1 for pair, want in zip(stream(10**10), expected) if pair == want)
-        peak = tracemalloc.get_traced_memory()[1]
+        return count(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == 1000
+
+
+for c_max in (10**10, U64_MAX):
+    peaks[c_max] = traced(
+        lambda: sum(1 for pair, want in zip(stream(c_max), expected) if pair == want)
+    )
+peaks["drained"] = traced(lambda: sum(1 for _ in records(5 * 10**5)))
+print(json.dumps(peaks))
+"""
+
+
+@pytest.mark.parametrize(
+    "stream,records",
+    [("lattice_enumerate_indexed", "_lattice_records"),
+     ("extended_enumerate_indexed", "_extended_records")],
+    ids=["lattice_enumerate_indexed", "extended_enumerate_indexed"],
+)
+def test_stream_memory_follows_the_frontier_not_the_bound(stream, records):
+    # The first 1,000 pairs under two far bounds, then the stream's whole
+    # record source drained (its records, not its pairs, to keep the traced
+    # run short), each in a child: a stream that held records by its bound,
+    # not by the columns it has reached, would pass the 2 MB budget in one
+    # of them, or the child's limit.
+    code, out, err = _run("-c", FRONTIER_PROBE, stream, records)
+    assert code == 0, err
+    peaks = json.loads(out)
+    drained, peak = peaks.pop("drained")
+    assert drained > 9 * 10**4
     assert peak < 2 * 2**20
+    assert len(peaks) == 2
+    for c_max, (got, peak) in peaks.items():
+        assert got == 1000, c_max
+        assert peak < 2 * 2**20, c_max
 
 
 @pytest.mark.parametrize(
