@@ -16,8 +16,10 @@ each object is made by object.__new__ and a store through each field's
 slot descriptor, the same slot write the constructors make, so it is
 indistinguishable from one its constructor built.
 Streams are single-consumer iterators; merged slices come out c
-ascending, then a.  Each stream checks c_max <= U64_MAX once, at call
-time, which bounds every component it can yield.
+ascending, then a.  A merge keeps one cursor per joined column,
+overwritten in place, and no column leaves.  Each stream checks
+c_max <= U64_MAX once, at call time, which bounds every component it
+can yield.
 """
 
 from __future__ import annotations
@@ -81,34 +83,50 @@ def _merge(step: int, c_max: int) -> Iterator[_Record]:
     Column i is _abc's column r = step*(i - 1) + 1: step 2 gives the lattice
     (r = 2m - 1) and step 1 the extended form (r = mu).  Column 1's head,
     (5, 3, 4, 1, 1) in both forms, is yielded before any other work.  The
-    rest comes out one band (lo, hi] of c at a time: each column whose head
-    (j = 1, from _abc(r, 1), one call per column) is <= hi joins, in i order,
-    and every column appends its records with c <= hi to the band; one sort
-    then puts the band in order.  The successor step walks _abc down the
-    column inline, as it runs once per record: along a column c - b = r^2
-    stays put, so from j to j + 1 a rises by 2r and b and c by 2(r + 2j + 1),
-    a rise that grows by 4 with each step.  Each column keeps one cursor,
-    its next record, and leaves once that passes c_max.  c rises along each
-    column and heads rise with i, so no column that has not joined holds a
-    record in the band, and (c, a) is unique, so sorting whole records
-    gives c then a.  The band's width starts at 1 and doubles after a band
-    of fewer than max(256, columns) records: a band holds a small multiple
-    of the columns the frontier has reached, so memory follows those
-    columns, not c_max.
+    rest comes out one band of c at a time, from the last band's top hi to
+    the new hi: each column whose head (j = 1, from _abc(r, 1), one call
+    per column) is <= hi joins, in i order, and every column appends its
+    records with c <= hi to the band; one sort then puts the band in order.
+    The successor step walks _abc down the column inline, as it runs once
+    per record: along a column c - b = r^2 stays put, so from j to j + 1 a
+    rises by 2r and b and c by 2(r + 2j + 1), a rise that grows by 4 with
+    each step.  Each column keeps one cursor, its next record, overwritten
+    in place in one list that only grows.  No column leaves: every band
+    ends at or below c_max, so a cursor past c_max adds nothing to any
+    later band, and a cursor passes c_max only within one step of it, in
+    the last band or two.  c rises along each column and heads rise with
+    i, so no column that has not joined holds a record in the band, and
+    (c, a) is unique, so sorting whole records gives c then a.  The band's
+    width starts at 1 and doubles after a band of fewer than
+    max(256, columns) records: a band holds a small multiple of the
+    columns the frontier has reached, so memory follows those columns,
+    not c_max.
+
+    Each choice was timed against the kernel without it (Python 3.11.7,
+    shared 2-core VM):
+    - Column 1's head before any band: without it the first record of a
+      stream at c_max 1e10 came 35-42% later (0.023 -> 0.033 ms).
+    - The 256 floor: without it the lattice to 1e5 took 1.12x as long, to
+      2,515 1.22x, and the first 10,000 records at 1e10 1.18x.
+    - The columns term: without it the lattice to 10^6 took 1.05x and the
+      extended form to 5*10^5 1.10x.
+    - Bands between Platonic heads, ((2m)^2, (2m + 2)^2], need no width,
+      but took 1.10x on the lattice to 1e5, 1.13x on the first 10,000
+      records at 1e10, and 3.2x to the first record.
     """
     # Column 1 has r = 1 in both forms.
-    a, b, lo = _abc(1, 1)
-    if lo > c_max:
+    a, b, hi = _abc(1, 1)
+    if hi > c_max:
         return
-    yield lo, a, b, 1, 1
+    yield hi, a, b, 1, 1
     shift = 1 - step
     a, b, c = _abc(1, 2)
     columns: list[_Record] = [(c, a, b, 1, 2)]
     a, b, c = _abc(1 + step, 1)
     head: _Record = (c, a, b, 2, 1)
     width = 1
-    while lo < c_max:
-        hi = min(lo + width, c_max)
+    while hi < c_max:
+        hi = min(hi + width, c_max)
         while head[0] <= hi:
             columns.append(head)
             i = head[3] + 1
@@ -116,10 +134,7 @@ def _merge(step: int, c_max: int) -> Iterator[_Record]:
             head = (c, a, b, i, 1)
         band: list[_Record] = []
         add = band.append
-        kept: list[_Record] = []
-        keep = kept.append
-        for cursor in columns:
-            c, a, b, i, j = cursor
+        for k, (c, a, b, i, j) in enumerate(columns):
             if c <= hi:
                 r2 = 2 * (step * i + shift)
                 rise = r2 + 4 * j + 2
@@ -130,16 +145,11 @@ def _merge(step: int, c_max: int) -> Iterator[_Record]:
                     b += rise
                     rise += 4
                     j += 1
-                if c > c_max:
-                    continue
-                cursor = (c, a, b, i, j)
-            keep(cursor)
-        columns = kept
+                columns[k] = (c, a, b, i, j)
         band.sort()
         yield from band
         if len(band) < max(256, len(columns)):
             width += width
-        lo = hi
 
 
 def _triples(records: Iterator[_Record]) -> Iterator[Triple]:

@@ -1,0 +1,124 @@
+"""Check that the tier-1 tests kill every listed mutant of the package.
+
+Run from anywhere, stdlib only:  python tests/mutants.py
+
+Each mutant is one exact text edit to one file under src/triple_lattice,
+with the test module that must kill it (the smallest one that does).  For
+each mutant the script copies src/ and tests/ to a fresh temporary
+directory, applies the edit there and runs `pytest -x -q` on that module:
+the mutant is killed when pytest reports a failing test.  Before any
+mutant, each named module must pass on an unmutated copy, so a copy that
+cannot run kills nothing by accident.  The script exits 1 if any old text
+is not found exactly once in its file, if a module fails unmutated, or if
+any mutant survives, errors out or runs past its time limit; else 0.
+pytest does not collect this file: its name does not match test_*.py.
+
+A change that rewrites a mutated line updates that entry here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = "src/triple_lattice"
+# Seconds one pytest run may take; a mutant that hangs counts as a failure
+# of this script, not as killed.
+LIMIT = 120
+
+# (file in the package, exact old text, new text, test module)
+MUTANTS = [
+    # series._merge: the band kernel.
+    ("series.py", "                columns[k] = (c, a, b, i, j)\n", "", "test_series.py"),
+    ("series.py", "rise += 4", "rise += 2", "test_series.py"),
+    ("series.py", "if c <= hi:", "if c < hi:", "test_series.py"),
+    ("series.py", "while head[0] <= hi:", "while head[0] < hi:", "test_series.py"),
+    ("series.py", "    yield hi, a, b, 1, 1\n", "", "test_series.py"),
+    ("series.py", "r2 = 2 * (step * i + shift)", "r2 = 2 * (step * i)", "test_series.py"),
+    ("series.py", "a, b, c = _abc(step * i + shift, 1)", "a, b, c = _abc(step * i + shift, 2)",
+     "test_series.py"),
+    # series._walk's bound.
+    ("series.py", "        if c > c_max:\n            return\n",
+     "        if c >= c_max:\n            return\n", "test_series.py"),
+    # series._valid: the one record rule.
+    ("series.py", "and i > 0 and n > 0 and", "and i > 0 and", "test_series.py"),
+    ("series.py", "type(a) is type(b) is type(c) is int", "type(a) is type(c) is int",
+     "test_series.py"),
+    # series._indexed: mu (or m) and n each stored in its own slot.
+    ("series.py", "set_i(idx, i)\n        set_n(idx, n)", "set_i(idx, n)\n        set_n(idx, i)",
+     "test_series.py"),
+    # core: the paper's primitivity rule and compose_def's type order.
+    ("core.py", "== 1 and gcd(n, r) == 1", "== 1 and gcd(n, r + 2) == 1", "test_core.py"),
+    ("core.py", "return r % 2 == 1 and gcd", "return gcd", "test_cli.py"),
+    ("core.py", '(("e", e), ("f", f), ("d", d))', '(("e", e), ("d", d), ("f", f))', "test_core.py"),
+    # classify: the tree multiples' Euclid marks and the tree loop's test.
+    ("classify.py", "k == sq or k == tw", "k == sq", "test_classify.py"),
+    ("classify.py", "yield k * odd, k * even, k * c, k, k == sq", "yield k * odd, k * even, k * c, k, k == 1",
+     "test_classify.py"),
+    ("classify.py", "type(a) is type(b) is type(c) is int", "type(a) is type(c) is int",
+     "test_classify.py"),
+    # classify: verify's oracle ceiling.
+    ("classify.py", "if c_max > oracle_ceiling:", "if c_max > oracle_ceiling + 1:", "test_cli.py"),
+]
+
+
+def _run(module: str, edit: tuple[str, str, str] | None = None) -> tuple[int | None, float]:
+    # pytest's exit code (None past LIMIT) and seconds for one module, on a
+    # fresh copy of src/ and tests/ with edit = (file, old, new) applied.
+    with tempfile.TemporaryDirectory() as tmp:
+        into = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, into / part, ignore=skip)
+        if edit:
+            name, old, new = edit
+            path = into / PACKAGE / name
+            path.write_text(path.read_text().replace(old, new))
+        env = {**os.environ, "PYTHONPATH": str(into / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", f"tests/{module}"]
+        start = time.perf_counter()
+        try:
+            code = subprocess.run(command, cwd=into, env=env, capture_output=True, timeout=LIMIT).returncode
+        except subprocess.TimeoutExpired:
+            code = None
+        return code, time.perf_counter() - start
+
+
+def main() -> int:
+    missing = [
+        (name, old)
+        for name, old, _, _ in MUTANTS
+        if (ROOT / PACKAGE / name).read_text().count(old) != 1
+    ]
+    for name, old in missing:
+        print(f"old text not found exactly once in {name}: {old!r}")
+    if missing:
+        return 1
+    failed = 0
+    for module in dict.fromkeys(module for *_, module in MUTANTS):
+        code, seconds = _run(module)
+        if code != 0:
+            print(f"unmutated {module} does not pass (exit {code}) in {seconds:.1f} s")
+            failed += 1
+    if failed:
+        return 1
+    for name, old, new, module in MUTANTS:
+        code, seconds = _run(module, (name, old, new))
+        # pytest exits 1 when a test fails; 0 means the mutant survived, and
+        # anything else (a collection error, say) says the edit is broken.
+        outcome = {0: "SURVIVED", 1: "killed", None: "TIMED OUT"}.get(code, f"ERROR (exit {code})")
+        edit = f"{' '.join(old.split())!r} -> {' '.join(new.split())!r}"
+        print(f"{outcome:>9} {seconds:5.1f} s  {name}: {edit}  [{module}]")
+        failed += code != 1
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,6 +33,7 @@ from triple_lattice import (
     triple_from_lattice,
     verify_chain,
 )
+from triple_lattice.classify import DEFAULT_VERIFY_CEILING
 from triple_lattice.cli import FORMAT_ENV, main
 
 
@@ -1012,12 +1013,15 @@ def test_verify_matches_library(run):
 # bound up to the 64-bit top streams only a few rows.  Only what writes
 # nothing stays small: the oracle ceiling, never drawn large, holds verify
 # to bounds it can walk at once, and a family --count is drawn small or at
-# an edge its last member passes.  Junk holds no decimal digit of any
-# script: int() reads those, so junk could otherwise be a big bound.
+# an edge its last member passes.  verify's --c-max is also drawn just past
+# its default ceiling, never at it: a full verify at 10^6 takes seconds.
+# Junk holds no decimal digit of any script: int() reads those, so junk
+# could otherwise be a big bound.
 JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
 EDGE = st.sampled_from([1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 2**64]).map(str)
 SMALL = st.one_of(st.sampled_from(["-1", "0"]), st.integers(1, 300).map(str), JUNK)
 ANY = st.one_of(SMALL, st.integers(1, 300).map(str), st.integers(2**64, 2**70).map(str), EDGE)
+PAST_CEILING = st.sampled_from([DEFAULT_VERIFY_CEILING + 1, 2 * 10**6]).map(str)
 FORMAT = st.sampled_from(
     [[], ["--format", "csv"], ["--format", "table"], ["--format", "xml"]]
 )
@@ -1039,8 +1043,8 @@ ARGV = st.one_of(
     _argv("classify", ANY, ANY, ANY),
     _argv("enum", st.just("--c-max"), ANY, st.sampled_from(["--mode=lattice", "--mode=extended"]) | JUNK),
     _argv("series", st.sampled_from(["odd", "even"]) | JUNK, ANY, st.just("--c-max"), ANY),
-    _argv("verify", st.just("--c-max"), ANY, st.just("--oracle-ceiling"), SMALL),
-    _argv("verify", st.just("--c-max"), ANY),
+    _argv("verify", st.just("--c-max"), ANY | PAST_CEILING, st.just("--oracle-ceiling"), SMALL),
+    _argv("verify", st.just("--c-max"), ANY | PAST_CEILING),
     _argv("family", st.sampled_from(["pythagorean", "platonic"]) | JUNK, st.just("--count"), SMALL | EDGE),
     st.lists(JUNK, max_size=4),
 )
@@ -1058,11 +1062,23 @@ def _bound_past_the_width(argv) -> bool:
     return False
 
 
+def _past_the_oracle_ceiling(argv) -> bool:
+    # A verify --c-max above its --oracle-ceiling, drawn or default.
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    c_max = flags.get("--c-max", "")
+    ceiling = flags.get("--oracle-ceiling", str(DEFAULT_VERIFY_CEILING))
+    return (
+        argv[:1] == ["verify"] and c_max.isdecimal() and ceiling.isdecimal()
+        and int(c_max) > int(ceiling)
+    )
+
+
 @settings(deadline=None)
 @given(argv=ARGV, fmt=FORMAT_VALUE, writes=st.integers(0, 3))
 @example(argv=["enum", "--c-max", str(2**64 - 1)], fmt=None, writes=2)
 @example(argv=["enum", "--c-max", str(2**64 - 1), "--mode=extended"], fmt="csv", writes=3)
 @example(argv=["family", "platonic", "--count", str(2**32 + 1)], fmt="table", writes=3)
+@example(argv=["verify", "--c-max", str(DEFAULT_VERIFY_CEILING + 1)], fmt=None, writes=3)
 def test_arbitrary_argv_exits_with_a_documented_code(argv, fmt, writes):
     out, err = _ClosesAfter(writes), io.StringIO()
     env = {} if fmt is None else {FORMAT_ENV: fmt}
@@ -1077,3 +1093,5 @@ def test_arbitrary_argv_exits_with_a_documented_code(argv, fmt, writes):
         assert err.getvalue() == ""
     if _bound_past_the_width(argv):
         assert out.text == ""
+    if _past_the_oracle_ceiling(argv):
+        assert code == 2 and out.text == ""

@@ -250,6 +250,21 @@ def test_merge_matches_sorted_grid_at_every_bound(enumerate_indexed, point):
             assert got == expected, c_max
 
 
+@pytest.mark.parametrize("step", [1, 2])
+def test_merge_yields_column_1_head_before_any_band(step):
+    # The first record leaves before any band is built: one _abc call,
+    # column 1's head, and no other column touched, however far c_max is.
+    calls, abc = [], series._abc
+
+    def counted(r, n):
+        calls.append((r, n))
+        return abc(r, n)
+
+    with mock.patch.object(series, "_abc", counted):
+        assert next(series._merge(step, 10**10)) == (5, 3, 4, 1, 1)
+    assert calls == [(1, 1)]
+
+
 # -------------------------------------------------------------------- families
 
 
