@@ -301,9 +301,10 @@ def verify_chain(
 
     count_p = count_p0 = 0
     witness_p_not_e = least = None
-    # The tree keeps its own, triple-only test: its (a, b, c, k) multiples
-    # carry no index for series._valid to check.  a and b lie below c once
-    # the identity holds, so only c meets U64_MAX.
+    # The tree runs _check_triple's inline test itself and calls it only on
+    # a failure: its (a, b, c, k) multiples carry no index for
+    # series._valid to check.  a and b lie below c once the identity holds,
+    # so only c meets U64_MAX.
     top = core.U64_MAX
     for a, b, c, k, euclid in _tree_multiples(c_max):
         if not (

@@ -32,8 +32,6 @@ from .series import (
     _extended_records,
     _lattice_records,
     _odd_records,
-    _platonic_records,
-    _pythagorean_records,
     _valid,
 )
 
@@ -189,8 +187,19 @@ def cmd_series(args: argparse.Namespace, fmt: str) -> int:
 
 
 def cmd_family(args: argparse.Namespace, fmt: str) -> int:
-    records = _pythagorean_records if args.kind == "pythagorean" else _platonic_records
-    _emit(_rows(records(args.count), "m"), LATTICE_FIELDS, fmt)
+    # The Pythagorean family is the odd series 1 and the Platonic family the
+    # even series 1.  c rises along both, so the series bounded by member
+    # count's c holds exactly the first count members.  That c is checked
+    # here, named as the count the caller gave, so a count past the width
+    # fails before the first row.
+    count = args.count
+    if args.kind == "pythagorean":
+        records, c_max = _odd_records, core._abc(1, count)[2]
+    else:
+        records, c_max = _even_records, core._abc(2 * count - 1, 1)[2]
+    if c_max > core.U64_MAX:
+        raise OverflowError(f"family member {count} has c = {c_max}, past the checked 64-bit width")
+    _emit(_rows(records(1, c_max), "m"), LATTICE_FIELDS, fmt)
     return EXIT_OK
 
 

@@ -95,24 +95,24 @@ def _require_positive_int(name: str, value: int, minimum: int = 1) -> None:
 def _check_triple(a: int, b: int, c: int) -> None:
     """Run every test Triple(a, b, c) makes, raising what it raises.
 
-    Valid components pay one combined type-and-range test; only when it
-    fails do the per-field checks run, in order a, b, c and then the
-    width, so invalid input gets the error naming its first bad field.
+    A valid triple pays one inline test, the record rule's: the same text
+    that series._valid and verify's tree loop run, without the index.  a
+    and b lie below c once the identity holds, so only c meets U64_MAX.
+    Only when that test fails do the per-field checks run, in order a, b,
+    c, then the width and then the identity, so invalid input gets the
+    error naming its first bad field.
     """
-    if not (
-        type(a) is int
-        and type(b) is int
-        and type(c) is int
-        and 0 < a <= U64_MAX
-        and 0 < b <= U64_MAX
-        and 0 < c <= U64_MAX
+    if (
+        type(a) is type(b) is type(c) is int
+        and a > 0 and b > 0 and 0 < c <= U64_MAX and a * a + b * b == c * c
     ):
-        _require_positive_int("a", a)
-        _require_positive_int("b", b)
-        _require_positive_int("c", c)
-        for v in (a, b, c):
-            if v > U64_MAX:
-                raise OverflowError(f"component {v} exceeds the checked 64-bit width")
+        return
+    _require_positive_int("a", a)
+    _require_positive_int("b", b)
+    _require_positive_int("c", c)
+    for v in (a, b, c):
+        if v > U64_MAX:
+            raise OverflowError(f"component {v} exceeds the checked 64-bit width")
     if a * a + b * b != c * c:
         raise ValueError(f"not a Pythagorean triple: {a}^2 + {b}^2 != {c}^2")
 

@@ -230,34 +230,6 @@ def _extended_records(c_max: int) -> Iterator[_Record]:
     return _merge(1, c_max)
 
 
-def _check_family(count: int, c_max: int) -> None:
-    # A family's count is checked like a bound, by its last member's c,
-    # and named as itself: the caller gave a count, not a c_max.
-    if c_max > core.U64_MAX:
-        raise OverflowError(
-            f"family member {count} has c = {c_max}, past the checked 64-bit width"
-        )
-
-
-def _pythagorean_records(count: int) -> Iterator[_Record]:
-    """The first count members of the Pythagorean family (m = 1), as records.
-
-    c rises along a family, so the last member's c bounds the walk and it
-    never stops early.  That bound is checked at call time, so a count
-    whose last member passes U64_MAX fails before the first record.
-    """
-    c_max = _abc(1, count)[2]
-    _check_family(count, c_max)
-    return _walk(zip(repeat(1), range(1, count + 1)), c_max)
-
-
-def _platonic_records(count: int) -> Iterator[_Record]:
-    """The first count members of the Platonic family (n = 1), bounded alike."""
-    c_max = _abc(2 * count - 1, 1)[2]
-    _check_family(count, c_max)
-    return _walk(zip(range(1, count + 1), repeat(1)), c_max)
-
-
 def odd_series(m: int, c_max: int) -> Iterator[Triple]:
     """Stream the triples with c - b = (2m-1)^2 and c <= c_max, c ascending."""
     return _triples(_odd_records(m, c_max))

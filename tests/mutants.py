@@ -45,26 +45,60 @@ MUTANTS = [
      "test_series.py"),
     # series._walk's bound.
     ("series.py", "        if c > c_max:\n            return\n",
-     "        if c >= c_max:\n            return\n", "test_series.py"),
-    # series._valid: the one record rule.
-    ("series.py", "and i > 0 and n > 0 and", "and i > 0 and", "test_series.py"),
+     "        if c >= c_max:\n            return\n", "test_cli.py"),
+    # series._valid: the one record rule, clause by clause.
+    ("series.py", "and i > 0 and n > 0 and", "and i > 0 and", "test_cli.py"),
     ("series.py", "type(a) is type(b) is type(c) is int", "type(a) is type(c) is int",
      "test_series.py"),
+    ("series.py", "n > 0 and a > 0 and b > 0", "n > 0 and b > 0", "test_series.py"),
+    ("series.py", "a > 0 and b > 0 and 0 < c", "a > 0 and 0 < c", "test_series.py"),
+    ("series.py", "and i > 0 and n > 0", "and n > 0", "test_cli.py"),
+    ("series.py", "type(i) is type(n) is", "type(n) is", "test_series.py"),
+    ("series.py", "0 < c <= top", "0 < c", "test_cli.py"),
+    ("series.py", "0 < c <= top\n            and a * a + b * b == c * c\n", "0 < c <= top\n",
+     "test_cli.py"),
     # series._indexed: mu (or m) and n each stored in its own slot.
     ("series.py", "set_i(idx, i)\n        set_n(idx, n)", "set_i(idx, n)\n        set_n(idx, i)",
      "test_series.py"),
+    # core._check_triple: the width clause of the per-field path.
+    ("core.py", "if v > U64_MAX:", "if v >= U64_MAX:", "test_core.py"),
     # core: the paper's primitivity rule and compose_def's type order.
     ("core.py", "== 1 and gcd(n, r) == 1", "== 1 and gcd(n, r + 2) == 1", "test_core.py"),
     ("core.py", "return r % 2 == 1 and gcd", "return gcd", "test_cli.py"),
     ("core.py", '(("e", e), ("f", f), ("d", d))', '(("e", e), ("d", d), ("f", f))', "test_core.py"),
     # classify: the tree multiples' Euclid marks and the tree loop's test.
-    ("classify.py", "k == sq or k == tw", "k == sq", "test_classify.py"),
+    ("classify.py", "k == sq or k == tw", "k == sq", "test_cli.py"),
     ("classify.py", "yield k * odd, k * even, k * c, k, k == sq", "yield k * odd, k * even, k * c, k, k == 1",
-     "test_classify.py"),
+     "test_cli.py"),
     ("classify.py", "type(a) is type(b) is type(c) is int", "type(a) is type(c) is int",
+     "test_classify.py"),
+    ("classify.py", "and a > 0 and b > 0 and 0 < c <= top", "and b > 0 and 0 < c <= top",
+     "test_classify.py"),
+    ("classify.py", "and a > 0 and b > 0 and 0 < c <= top", "and a > 0 and 0 < c <= top",
+     "test_classify.py"),
+    ("classify.py", "and 0 < c <= top and", "and 0 < c and", "test_classify.py"),
+    ("classify.py", "0 < c <= top and a * a + b * b == c * c", "0 < c <= top",
      "test_classify.py"),
     # classify: verify's oracle ceiling.
     ("classify.py", "if c_max > oracle_ceiling:", "if c_max > oracle_ceiling + 1:", "test_cli.py"),
+    # classify: verify's band rule, in the first pass and the naming pass.
+    ("classify.py", "(c - 1) * _BANDS // c_max if c <= c_max else _BANDS\n        h",
+     "c * _BANDS // c_max if c <= c_max else _BANDS\n        h", "test_cli.py"),
+    ("classify.py", "return ((c - 1) * _BANDS", "return (c * _BANDS", "test_classify.py"),
+    ("classify.py", "c_max // _BANDS) + 1", "c_max // _BANDS)", "test_classify.py"),
+    ("classify.py", "-(-(max(bands) + 1) * c_max", "-(-max(bands) * c_max", "test_classify.py"),
+    ("classify.py", "named = max(1,", "named = max(0,", "test_classify.py"),
+    # cli: the row paths, the family bounds and the exit codes.
+    ("cli.py", "2 * i - 1 if lattice else i", "2 * i - 1", "test_cli.py"),
+    ("cli.py", "(*row, c - b, c - a)", "(*row, c - a, c - b)", "test_cli.py"),
+    ('cli.py', 'null = "null" if fmt == "json-lines" else ""', 'null = "null"', "test_cli.py"),
+    ("cli.py", "sorted((args.a, args.b, args.c))", "(args.a, args.b, args.c)", "test_cli.py"),
+    ("cli.py", "core._abc(1, count)", "core._abc(1, count + 1)", "test_cli.py"),
+    ("cli.py", "core._abc(2 * count - 1, 1)", "core._abc(2 * count + 1, 1)", "test_cli.py"),
+    ("cli.py", "if c_max > core.U64_MAX:", "if c_max >= core.U64_MAX:", "test_cli.py"),
+    ("cli.py", "BrokenPipeError):\n            return EXIT_OK", "BrokenPipeError):\n            return 1",
+     "test_cli.py"),
+    ("cli.py", "EXIT_OK if report.ok else EXIT_DISCREPANCY", "EXIT_OK", "test_cli.py"),
 ]
 
 

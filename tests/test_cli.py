@@ -507,6 +507,15 @@ SINGLE_ROW_OUTPUT = {
         "table": "a  b  c  in_P   in_E   in_C   in_P0  m  n  u  v  scale\n"
                  "2  3  4  false  false  false  false\n",
     }),
+    # A non-triple's row lists its values ascending, whatever their order.
+    ("classify", "4", "2", "3"): (0, "", {
+        "json-lines": '{"a":2,"b":3,"c":4,"in_P":false,"in_E":false,"in_C":false,'
+                      '"in_P0":false,"m":null,"n":null,"u":null,"v":null,"scale":null}\n',
+        "csv": "a,b,c,in_P,in_E,in_C,in_P0,m,n,u,v,scale\n"
+               "2,3,4,false,false,false,false,,,,,\n",
+        "table": "a  b  c  in_P   in_E   in_C   in_P0  m  n  u  v  scale\n"
+                 "2  3  4  false  false  false  false\n",
+    }),
     ("verify", "--c-max", "50"): (0, "", {
         "json-lines": '{"c_max":50,"counts":{"P":20,"E":14,"C":8,"P0":7},'
                       '"witnesses":{"P_not_E":[9,12,15],"E_not_C":[8,6,10],'
@@ -531,11 +540,9 @@ def test_single_row_commands_print_pinned_bytes(run, argv, fmt):
 
 
 # The record sources cli reads, by the forward formula their records follow.
+# The families stream through the odd and even series' sources.
 RECORD_SOURCES = {
-    "lattice": (
-        "_lattice_records", "_odd_records", "_even_records",
-        "_pythagorean_records", "_platonic_records",
-    ),
+    "lattice": ("_lattice_records", "_odd_records", "_even_records"),
     "extended": ("_extended_records",),
 }
 
@@ -613,20 +620,40 @@ def test_every_streamed_index_is_checked(run, monkeypatch, source, corrupt, argv
 
 
 @pytest.mark.parametrize(
-    "kind,within,err",
-    [("pythagorean", 6, "error: family member 7 has c = 113, past the checked 64-bit width\n"),
-     ("platonic", 4, "error: family member 5 has c = 101, past the checked 64-bit width\n")],
+    "kind,within,last,err",
+    [("pythagorean", 6, 85,
+      "error: family member 7 has c = 113, past the checked 64-bit width\n"),
+     ("platonic", 4, 65,
+      "error: family member 5 has c = 101, past the checked 64-bit width\n")],
     ids=["pythagorean", "platonic"],
 )
 def test_family_member_past_the_width_exits_3_before_any_row(
-    run, monkeypatch, kind, within, err
+    run, monkeypatch, kind, within, last, err
 ):
-    # Under a width of 100 the first `within` members fit and the next does
-    # not: one more member fails the whole request before its first row.
-    clean = run("family", kind)[1].splitlines()
-    monkeypatch.setattr(core, "U64_MAX", 100)
-    assert run("family", kind, "--count", str(within)) == (0, "\n".join(clean[:within]) + "\n", "")
-    assert run("family", kind, "--count", str(within + 1)) == (3, "", err)
+    # Under a width of 100, or of exactly member `within`'s c (`last`), the
+    # first `within` members fit and the next does not: one more member
+    # fails the whole request before its first row.
+    rows = "\n".join(run("family", kind)[1].splitlines()[:within]) + "\n"
+    for width in (100, last):
+        monkeypatch.setattr(core, "U64_MAX", width)
+        assert run("family", kind, "--count", str(within)) == (0, rows, "")
+        assert run("family", kind, "--count", str(within + 1)) == (3, "", err)
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_family_is_the_prefix_of_its_series(run, fmt):
+    # Member K of the Pythagorean family is row K of odd series 1, with
+    # c = 2K^2 + 2K + 1; member K of the Platonic family is column K of even
+    # series 1, with c = 4K^2 + 1.
+    for count in range(1, 61):
+        for kind, series, c_max in (
+            ("pythagorean", "odd", 2 * count * count + 2 * count + 1),
+            ("platonic", "even", 4 * count * count + 1),
+        ):
+            family = run("family", kind, "--count", str(count), "--format", fmt)
+            prefix = run("series", series, "1", "--c-max", str(c_max), "--format", fmt)
+            assert family == prefix
+            assert family[0] == 0 and len(family[1].splitlines()) == count + (fmt != "json-lines")
 
 
 class _WriteOnly:

@@ -146,6 +146,16 @@ def test_constructor_error_contract(cls, args, exc, message):
     assert str(info.value) == message
 
 
+class _Int(int):
+    # An int subclass: it fails Triple's inline test and takes the per-field
+    # path, which accepts it.
+    pass
+
+
+# c = 2^64 - 1 exactly, 3 times a primitive triple.
+_TOP = (10624282968577761639, 15080019175204220148, U64_MAX)
+
+
 @pytest.mark.parametrize(
     "cls,args",
     [
@@ -154,10 +164,13 @@ def test_constructor_error_contract(cls, args, exc, message):
         (LatticeIndex, (_WIDE, _WIDE)),
         (ExtendedIndex, (1, True)),
         (ExtendedIndex, (_WIDE, 1)),
+        (Triple, _TOP),
+        (Triple, (_Int(_TOP[0]), *_TOP[1:])),
     ],
 )
 def test_constructor_accepts_int_subclasses_and_wide_indices(cls, args):
-    # bool is an int, so True passes as 1; the width bound is Triple's alone.
+    # bool is an int, so True passes as 1; the width bound is Triple's alone,
+    # and c may reach it.
     assert tuple(slot_values(cls(*args)).values()) == args
 
 
