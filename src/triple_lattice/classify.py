@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import core
 from .core import (
     EuclidParams,
     LatticeIndex,
@@ -198,8 +197,8 @@ def _tree_multiples(c_max: int):
     the sum and difference of p's pair); k p has an odd leg, so lies in the
     lattice set, iff k is odd.  The triples come out as plain tuples,
     unchecked: berggren_triples builds each as a Triple, and verify_chain
-    tests each by series._valid's rule without the index, which a multiple
-    does not carry.
+    runs core._check_triple on each, as a multiple carries no index for
+    series._valid.
     """
     for a, b, c in _berggren_primitives(c_max):
         # core._in_order's orientation, settled once per primitive: an odd k
@@ -290,9 +289,8 @@ def verify_chain(
     up to c_max, so when every hash agrees their sum must equal the tree's
     count; if it does not, and no other text was produced, one text says
     so.  Every stream record passes series._valid, and every tree multiple
-    its test without the index, which passes just what _check_triple passes
-    (and calls it on failure): the tests their constructors make, so an
-    invalid record raises; so do bound errors.
+    _check_triple: the tests their constructors make, so an invalid record
+    raises; so do bound errors.
     """
     _check_oracle_bound(c_max, oracle_ceiling, MIN_HYPOTENUSE)
     # Each pair's sums as one signed sum per band: E minus its prediction,
@@ -301,17 +299,8 @@ def verify_chain(
 
     count_p = count_p0 = 0
     witness_p_not_e = least = None
-    # The tree runs _check_triple's inline test itself and calls it only on
-    # a failure: its (a, b, c, k) multiples carry no index for
-    # series._valid to check.  a and b lie below c once the identity holds,
-    # so only c meets U64_MAX.
-    top = core.U64_MAX
     for a, b, c, k, euclid in _tree_multiples(c_max):
-        if not (
-            type(a) is type(b) is type(c) is int
-            and a > 0 and b > 0 and 0 < c <= top and a * a + b * b == c * c
-        ):
-            _check_triple(a, b, c)
+        _check_triple(a, b, c)
         count_p += 1
         if euclid:
             i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS

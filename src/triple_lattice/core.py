@@ -95,9 +95,10 @@ def _require_positive_int(name: str, value: int, minimum: int = 1) -> None:
 def _check_triple(a: int, b: int, c: int) -> None:
     """Run every test Triple(a, b, c) makes, raising what it raises.
 
-    A valid triple pays one inline test, the record rule's: the same text
-    that series._valid and verify's tree loop run, without the index.  a
-    and b lie below c once the identity holds, so only c meets U64_MAX.
+    A valid triple pays one inline test, the record rule's: series._valid
+    runs the same text with the index on stream records, and every other
+    triple, verify's tree multiples among them, comes here.  a and b lie
+    below c once the identity holds, so only c meets U64_MAX.
     Only when that test fails do the per-field checks run, in order a, b,
     c, then the width and then the identity, so invalid input gets the
     error naming its first bad field.

@@ -60,24 +60,25 @@ MUTANTS = [
     # series._indexed: mu (or m) and n each stored in its own slot.
     ("series.py", "set_i(idx, i)\n        set_n(idx, n)", "set_i(idx, n)\n        set_n(idx, i)",
      "test_series.py"),
-    # core._check_triple: the width clause of the per-field path.
+    # core._check_triple: its fast test, clause by clause, and the width
+    # clause of the per-field path.
+    ("core.py", "type(a) is type(b) is type(c) is int", "type(a) is type(c) is int", "test_core.py"),
+    ("core.py", "and a > 0 and b > 0 and 0 < c <= U64_MAX", "and b > 0 and 0 < c <= U64_MAX",
+     "test_core.py"),
+    ("core.py", "and a > 0 and b > 0 and 0 < c <= U64_MAX", "and a > 0 and 0 < c <= U64_MAX",
+     "test_core.py"),
+    ("core.py", "and 0 < c <= U64_MAX and", "and 0 < c and", "test_core.py"),
+    ("core.py", "0 < c <= U64_MAX and a * a + b * b == c * c", "0 < c <= U64_MAX", "test_core.py"),
     ("core.py", "if v > U64_MAX:", "if v >= U64_MAX:", "test_core.py"),
     # core: the paper's primitivity rule and compose_def's type order.
     ("core.py", "== 1 and gcd(n, r) == 1", "== 1 and gcd(n, r + 2) == 1", "test_core.py"),
     ("core.py", "return r % 2 == 1 and gcd", "return gcd", "test_cli.py"),
     ("core.py", '(("e", e), ("f", f), ("d", d))', '(("e", e), ("d", d), ("f", f))', "test_core.py"),
-    # classify: the tree multiples' Euclid marks and the tree loop's test.
+    # classify: the tree multiples' Euclid marks and the tree loop's check.
     ("classify.py", "k == sq or k == tw", "k == sq", "test_cli.py"),
     ("classify.py", "yield k * odd, k * even, k * c, k, k == sq", "yield k * odd, k * even, k * c, k, k == 1",
      "test_cli.py"),
-    ("classify.py", "type(a) is type(b) is type(c) is int", "type(a) is type(c) is int",
-     "test_classify.py"),
-    ("classify.py", "and a > 0 and b > 0 and 0 < c <= top", "and b > 0 and 0 < c <= top",
-     "test_classify.py"),
-    ("classify.py", "and a > 0 and b > 0 and 0 < c <= top", "and a > 0 and 0 < c <= top",
-     "test_classify.py"),
-    ("classify.py", "and 0 < c <= top and", "and 0 < c and", "test_classify.py"),
-    ("classify.py", "0 < c <= top and a * a + b * b == c * c", "0 < c <= top",
+    ("classify.py", "        _check_triple(a, b, c)\n        count_p += 1\n", "        count_p += 1\n",
      "test_classify.py"),
     # classify: verify's oracle ceiling.
     ("classify.py", "if c_max > oracle_ceiling:", "if c_max > oracle_ceiling + 1:", "test_cli.py"),
@@ -88,6 +89,7 @@ MUTANTS = [
     ("classify.py", "c_max // _BANDS) + 1", "c_max // _BANDS)", "test_classify.py"),
     ("classify.py", "-(-(max(bands) + 1) * c_max", "-(-max(bands) * c_max", "test_classify.py"),
     ("classify.py", "named = max(1,", "named = max(0,", "test_classify.py"),
+    ("classify.py", "(count_p + count_e + count_c + 1)", "(count_p + count_c + 1)", "test_classify.py"),
     # cli: the row paths, the family bounds and the exit codes.
     ("cli.py", "2 * i - 1 if lattice else i", "2 * i - 1", "test_cli.py"),
     ("cli.py", "(*row, c - b, c - a)", "(*row, c - a, c - b)", "test_cli.py"),
@@ -131,14 +133,14 @@ def main() -> int:
         if (ROOT / PACKAGE / name).read_text().count(old) != 1
     ]
     for name, old in missing:
-        print(f"old text not found exactly once in {name}: {old!r}")
+        print(f"old text not found exactly once in {name}: {old!r}", flush=True)
     if missing:
         return 1
     failed = 0
     for module in dict.fromkeys(module for *_, module in MUTANTS):
         code, seconds = _run(module)
         if code != 0:
-            print(f"unmutated {module} does not pass (exit {code}) in {seconds:.1f} s")
+            print(f"unmutated {module} does not pass (exit {code}) in {seconds:.1f} s", flush=True)
             failed += 1
     if failed:
         return 1
@@ -148,9 +150,9 @@ def main() -> int:
         # anything else (a collection error, say) says the edit is broken.
         outcome = {0: "SURVIVED", 1: "killed", None: "TIMED OUT"}.get(code, f"ERROR (exit {code})")
         edit = f"{' '.join(old.split())!r} -> {' '.join(new.split())!r}"
-        print(f"{outcome:>9} {seconds:5.1f} s  {name}: {edit}  [{module}]")
+        print(f"{outcome:>9} {seconds:5.1f} s  {name}: {edit}  [{module}]", flush=True)
         failed += code != 1
-    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed", flush=True)
     return 1 if failed else 0
 
 

@@ -432,9 +432,9 @@ def _multiples(draw):
 
 def _one_example_per_clause(test):
     # A passing multiple and then one that fails a single clause of the
-    # tree loop's inline test, for every clause: each field's type and
-    # sign, the width and the identity.  Random draws reach some clauses
-    # only rarely.
+    # Triple rule the tree loop checks through _check_triple, for every
+    # clause: each field's type and sign, the width and the identity.
+    # Random draws reach some clauses only rarely.
     ok, big = (3, 4, 5, 1, True), U64_MAX // 5 + 1
     bad = [(3 * big, 4 * big, 5 * big, big, False), (3, 4, 6, 1, True)]
     for at in range(3):
@@ -772,6 +772,26 @@ def test_verify_chain_names_only_the_bands_its_budget_allows(monkeypatch):
     assert verify_chain(500).discrepancies == (
         "1 duplicate records in the Euclid stream, e.g. (32, 24, 40)",
         "1 c-bands with differing hashes left unnamed, the first starting at c = 64",
+    )
+
+
+def test_verify_chain_naming_budget_counts_every_route(monkeypatch):
+    # The six lattice records at c = 65, 145 and 265, in bands 8, 18 and 33,
+    # each come twice.  A band is taken to hold 1/_BANDS of all three
+    # routes' records, 386 P + 179 E + 99 C, so a budget of 23 names 2
+    # bands; an estimate without E's count would name all 3.
+    module = importlib.import_module("triple_lattice.classify")
+    source = module._lattice_records
+
+    def repeated(c_max):
+        for record in source(c_max):
+            yield from (record,) * (1 + (record[0] in (65, 145, 265)))
+
+    monkeypatch.setattr(module, "_lattice_records", repeated)
+    monkeypatch.setattr(module, "_NAMING_BUDGET", 23)
+    assert verify_chain(500).discrepancies == (
+        "4 duplicate records in the lattice stream, e.g. (33, 56, 65)",
+        "1 c-bands with differing hashes left unnamed, the first starting at c = 259",
     )
 
 
