@@ -131,14 +131,14 @@ _CONTRACT_CASES = [
     (Triple, (3 * _K, 4 * _K, 5 * _K), OverflowError,
      f"component {4 * _K} exceeds the checked 64-bit width"),
     (Triple, (True, 4, 5), ValueError, "not a Pythagorean triple: True^2 + 4^2 != 5^2"),
-    # A negated leg keeps the identity, so only the fast test's sign clauses
-    # send these to the per-field path.
-    (Triple, (-3, 4, 5), ValueError, "a must be >= 1, got -3"),
-    (Triple, (3, -4, 5), ValueError, "b must be >= 1, got -4"),
     (LatticeIndex, (_WIDE, None), TypeError, "n must be an int, got NoneType"),
     (LatticeIndex, (_WIDE, -1), ValueError, "n must be >= 1, got -1"),
     (ExtendedIndex, (_WIDE, 0.5), TypeError, "n must be an int, got float"),
     (ExtendedIndex, (_WIDE, 0), ValueError, "n must be >= 1, got 0"),
+    # A negated leg keeps the identity, so only the fast test's sign clauses
+    # send these to the per-field path.
+    (Triple, (-3, 4, 5), ValueError, "a must be >= 1, got -3"),
+    (Triple, (3, -4, 5), ValueError, "b must be >= 1, got -4"),
 ]
 
 
