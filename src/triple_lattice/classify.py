@@ -315,28 +315,31 @@ def verify_chain(
 
     count_e = 0
     witness_e_not_c = None
-    for count_e, (c, a, b, mu, n) in enumerate(_valid(_extended_records(c_max), "mu"), 1):
-        i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
-        if a % 2:
-            h = hash((a, b, c))
-            c_gap[i] -= h
-        else:
-            h = hash((a, b, c) if _in_order(a, b) else (b, a, c))
-            if witness_e_not_c is None:
-                witness_e_not_c = (a, b, c)
-        e_gap[i] += h
+    for band in _valid(_extended_records(c_max), "mu"):
+        # Each band's enumerate counts on from the last band's count.
+        for count_e, (c, a, b, mu, n) in enumerate(band, count_e + 1):
+            i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
+            if a % 2:
+                h = hash((a, b, c))
+                c_gap[i] -= h
+            else:
+                h = hash((a, b, c) if _in_order(a, b) else (b, a, c))
+                if witness_e_not_c is None:
+                    witness_e_not_c = (a, b, c)
+            e_gap[i] += h
 
     count_c = multiples = 0
     witness_c_not_p0 = None
-    for count_c, (c, a, b, m, n) in enumerate(_valid(_lattice_records(c_max), "m"), 1):
-        i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
-        h = hash((a, b, c))
-        c_gap[i] += h
-        if _is_primitive_at(2 * m - 1, n):
-            p0_gap[i] += h
-            multiples += c_max // c
-        elif witness_c_not_p0 is None:
-            witness_c_not_p0 = (a, b, c)
+    for band in _valid(_lattice_records(c_max), "m"):
+        for count_c, (c, a, b, m, n) in enumerate(band, count_c + 1):
+            i = (c - 1) * _BANDS // c_max if c <= c_max else _BANDS
+            h = hash((a, b, c))
+            c_gap[i] += h
+            if _is_primitive_at(2 * m - 1, n):
+                p0_gap[i] += h
+                multiples += c_max // c
+            elif witness_c_not_p0 is None:
+                witness_c_not_p0 = (a, b, c)
 
     bad = [i for i in range(_BANDS + 1) if e_gap[i] or c_gap[i] or p0_gap[i]]
     texts: tuple[str, ...] = ()
@@ -401,9 +404,11 @@ def _name_discrepancies(c_max: int, bands: set[int]) -> tuple[str, ...]:
     p_set = {t for t, _, _ in tree}
     p0_set = {t for t, k, _ in tree if k == 1}
     e_predicted = {t for t, _, e in tree if e}
-    c_pairs = [((m, n), (a, b, c)) for c, a, b, m, n in _lattice_records(top) if inside(c)]
+    c_pairs = [((m, n), (a, b, c)) for band in _lattice_records(top)
+               for c, a, b, m, n in band if inside(c)]
     c_set = {t for _, t in c_pairs}
-    e_records = [(a, b, c) for c, a, b, _, _ in _extended_records(top) if inside(c)]
+    e_records = [(a, b, c) for band in _extended_records(top)
+                 for c, a, b, _, _ in band if inside(c)]
     e_set = set(map(oriented, e_records))
 
     discrepancies: list[str] = []

@@ -8,6 +8,8 @@ Exit codes: 0 success (also when the reader closes stdout early, EPIPE),
 1 the first write to stdout fails, 2 argument error, 3 overflow (a result
 or --c-max above 2^64 - 1), 4 not in the lattice class, 5 verification
 discrepancy.  A command that fails before it writes keeps its own code.
+Ctrl-C (SIGINT) ends a run with no traceback: the process dies by SIGINT,
+as it would without Python's handler, so a shell sees status 130.
 
 A stream is missing when it is None, as Python leaves sys.stdout or
 sys.stderr when fd 1 or 2 is closed at start, and closed when it is a
@@ -46,7 +48,6 @@ EXIT_DISCREPANCY = 5
 
 LATTICE_FIELDS = ("m", "n", "a", "b", "c", "primitive")
 TABLE_SIZING_ROWS = 1000
-_BATCH = 256
 
 
 def _positive_int(text: str) -> int:
@@ -70,23 +71,26 @@ def _cells(row, fmt) -> tuple:
     )
 
 
-def _emit(rows, fields, fmt) -> None:
-    # Each row is a tuple of cells in fields order, and rows may be a lazy
-    # stream.  A cell is an int or text that is printed as it is: lattice
-    # and extended rows, gen's among them, carry "true"/"false" already, and
-    # classify and verify pass their values through _cells; a json-lines row
-    # holds no str but JSON text that a caller encoded itself.  json-lines
-    # and csv fill one %-template per batch, the row template once per row,
-    # with the batch's cells.  The first batch is one row, so a stream's
-    # first record waits on no batch; later batches are _BATCH lines to one
-    # _write.  A row that fails its check ends its batch, and the rows read
-    # before it are still written.  The table format sizes its columns from
-    # the first TABLE_SIZING_ROWS rows only, so memory never follows the
-    # stream's length; a later, longer cell widens its column from there on.
-    # An error while those rows are read leaves texts spent, so the header
-    # and the rows read before it are all that is written.
+def _emit(bands, fields, fmt) -> None:
+    # bands may be a lazy stream of lists of rows, the record sources'
+    # bands; a single-row command passes one band.  Each row is a tuple of
+    # cells in fields order.  A cell is an int or text that is printed as
+    # it is: lattice and extended rows, gen's among them, carry
+    # "true"/"false" already, and classify and verify pass their values
+    # through _cells; a json-lines row holds no str but JSON text that a
+    # caller encoded itself.  json-lines and csv fill one %-template per
+    # band, the row template once per row, with the band's cells, and write
+    # it with one _write before the next band is asked for.  A stream's
+    # first band is its first record alone, so that record waits on no
+    # other.  A record that fails its check ends the stream after a band of
+    # the records before it in its band, so every row read before it is
+    # still written.  The table format sizes its columns from the first
+    # TABLE_SIZING_ROWS rows only, so memory never follows the stream's
+    # length; a later, longer cell widens its column from there on.  An
+    # error while those rows are read leaves texts spent, so the header and
+    # the rows read before it are all that is written.
     if fmt == "table":
-        texts = (list(map(str, row)) for row in rows)
+        texts = (list(map(str, row)) for band in bands for row in band)
         head: list[list[str]] = []
         try:
             head.extend(islice(texts, TABLE_SIZING_ROWS))
@@ -98,19 +102,9 @@ def _emit(rows, fields, fmt) -> None:
     else:
         template = ",".join(["%s"] * len(fields)) + "\n"
         _write(",".join(fields) + "\n")
-    rows = iter(rows)
-    size = 1
-    while True:
-        batch: list[tuple] = []
-        try:
-            # list.extend keeps the rows read before one raises.
-            batch.extend(islice(rows, size))
-        finally:
-            if batch:
-                _write(template * len(batch) % tuple(chain.from_iterable(batch)))
-        if len(batch) < size:
-            return
-        size = _BATCH
+    for band in bands:
+        if band:
+            _write(template * len(band) % tuple(chain.from_iterable(band)))
 
 
 def _write(text: str) -> None:
@@ -145,8 +139,8 @@ def _resolve_format(args: argparse.Namespace) -> str:
 
 def cmd_gen(args: argparse.Namespace, fmt: str) -> int:
     a, b, c = core._abc(2 * args.m - 1, args.n)
-    (row,) = _rows([(c, a, b, args.m, args.n)], "m")
-    _emit([(*row, c - b, c - a)], LATTICE_FIELDS + ("d", "e"), fmt)
+    [[row]] = _rows([[(c, a, b, args.m, args.n)]], "m")
+    _emit([[(*row, c - b, c - a)]], LATTICE_FIELDS + ("d", "e"), fmt)
     return EXIT_OK
 
 
@@ -156,19 +150,22 @@ def cmd_inv(args: argparse.Namespace, fmt: str) -> int:
     except ValueError as exc:
         raise NotInClassC(str(exc)) from None
     idx = lattice_from_triple(t)
-    _emit([(idx.m, idx.n)], ("m", "n"), fmt)
+    _emit([[(idx.m, idx.n)]], ("m", "n"), fmt)
     return EXIT_OK
 
 
-def _rows(records, name):
-    # Rows from plain (c, a, b, i, n) records, lattice ones when name is "m"
-    # and extended ones when it is "mu", on the records series._valid passes.
-    # Both flag primitives by the paper's rule on column r of core._abc:
-    # r = 2i - 1 on the lattice and r = i (mu) in the extended form.
+def _rows(bands, name):
+    # A band of rows per band of plain (c, a, b, i, n) records, lattice ones
+    # when name is "m" and extended ones when it is "mu", on the bands
+    # series._valid passes.  Both flag primitives by the paper's rule on
+    # column r of core._abc: r = 2i - 1 on the lattice and r = i (mu) in
+    # the extended form.
     lattice = name == "m"
-    for c, a, b, i, n in _valid(records, name):
-        primitive = _is_primitive_at(2 * i - 1 if lattice else i, n)
-        yield i, n, a, b, c, "true" if primitive else "false"
+    for band in _valid(bands, name):
+        yield [
+            (i, n, a, b, c, "true" if _is_primitive_at(2 * i - 1 if lattice else i, n) else "false")
+            for c, a, b, i, n in band
+        ]
 
 
 def cmd_enum(args: argparse.Namespace, fmt: str) -> int:
@@ -217,7 +214,7 @@ def cmd_classify(args: argparse.Namespace, fmt: str) -> int:
         report.scale,
     )
     _emit(
-        [_cells(row, fmt)],
+        [[_cells(row, fmt)]],
         ("a", "b", "c", "in_P", "in_E", "in_C", "in_P0", "m", "n", "u", "v", "scale"),
         fmt,
     )
@@ -256,7 +253,7 @@ def cmd_verify(args: argparse.Namespace, fmt: str) -> int:
         ]
         rows.append(_cells(("discrepancies", len(report.discrepancies), None, None, None), fmt))
         fields = ("set", "count", "witness_a", "witness_b", "witness_c")
-    _emit(rows, fields, fmt)
+    _emit([rows], fields, fmt)
     for item in report.discrepancies:
         _note(f"discrepancy: {item}")
     return EXIT_OK if report.ok else EXIT_DISCREPANCY
@@ -397,7 +394,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    # Here, not in main, so a caller of main in process keeps its
+    # KeyboardInterrupt.  On Ctrl-C the process dies by SIGINT under the
+    # default action, with no traceback, so the shell still sees death by
+    # SIGINT: kill delivers it before it returns, so no buffered output is
+    # flushed after it.
+    try:
+        sys.exit(main())
+    except KeyboardInterrupt:
+        import signal  # Here: its import builds enums, some 0.6 ms a run.
+
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
 
 
 if __name__ == "__main__":

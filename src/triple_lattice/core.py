@@ -326,11 +326,13 @@ def euclid_params_from_triple(t: Triple) -> EuclidParams | None:
         if (t.c + x) % 2:
             continue
         us, vs = (t.c + x) // 2, (t.c - x) // 2
-        u, v = isqrt(us), isqrt(vs)
-        # 2uv automatically equals the other leg once both halves are
-        # squares, since (2uv)^2 = c^2 - x^2.
-        if u * u == us and v * v == vs:
-            return EuclidParams(u, v)
+        u = isqrt(us)
+        # us * vs = (c^2 - x^2) / 4 = (y/2)^2 for the other leg y, so once
+        # us = u^2, vs is the square of the rational number (y/2)/u, and an
+        # integer that is the square of a rational number is a perfect
+        # square: vs = v^2, and 2uv = y.
+        if u * u == us:
+            return EuclidParams(u, isqrt(vs))
     return None
 
 

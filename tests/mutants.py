@@ -39,13 +39,14 @@ MUTANTS = [
     ("series.py", "rise += 4", "rise += 2", "test_series.py"),
     ("series.py", "if c <= hi:", "if c < hi:", "test_series.py"),
     ("series.py", "while head[0] <= hi:", "while head[0] < hi:", "test_series.py"),
-    ("series.py", "    yield hi, a, b, 1, 1\n", "", "test_series.py"),
+    ("series.py", "    yield [(hi, a, b, 1, 1)]\n", "", "test_series.py"),
     ("series.py", "r2 = 2 * (step * i + shift)", "r2 = 2 * (step * i)", "test_series.py"),
     ("series.py", "a, b, c = _abc(step * i + shift, 1)", "a, b, c = _abc(step * i + shift, 2)",
      "test_series.py"),
-    # series._walk's bound.
-    ("series.py", "        if c > c_max:\n            return\n",
-     "        if c >= c_max:\n            return\n", "test_cli.py"),
+    # series._walk: the first record a band of its own, and the bound.
+    ("series.py", "band, size = [], 1", "band, size = [], 256", "test_series.py"),
+    ("series.py", "        if c > c_max:\n            break\n",
+     "        if c >= c_max:\n            break\n", "test_cli.py"),
     # series._valid: the one record rule, clause by clause.
     ("series.py", "and i > 0 and n > 0 and", "and i > 0 and", "test_cli.py"),
     ("series.py", "type(a) is type(b) is type(c) is int", "type(a) is type(c) is int",
@@ -55,11 +56,25 @@ MUTANTS = [
     ("series.py", "and i > 0 and n > 0", "and n > 0", "test_cli.py"),
     ("series.py", "type(i) is type(n) is", "type(n) is", "test_series.py"),
     ("series.py", "0 < c <= top", "0 < c", "test_cli.py"),
-    ("series.py", "0 < c <= top\n            and a * a + b * b == c * c\n", "0 < c <= top\n",
+    ("series.py", "0 < c <= top\n                and a * a + b * b == c * c\n", "0 < c <= top\n",
      "test_cli.py"),
-    # series._indexed: mu (or m) and n each stored in its own slot.
-    ("series.py", "set_i(idx, i)\n        set_n(idx, n)", "set_i(idx, n)\n        set_n(idx, i)",
+    # A zero leg, a swapped leg and hypotenuse, and a sum for a square:
+    # each edit passes a record that is no triple.
+    ("series.py", "n > 0 and a > 0 and b > 0", "n > 0 and a >= 0 and b > 0", "test_series.py"),
+    ("series.py", "a > 0 and b > 0 and 0 < c", "a > 0 and b >= 0 and 0 < c", "test_series.py"),
+    ("series.py", "and a * a + b * b == c * c", "and a * a - b * b == c * c", "test_series.py"),
+    ("series.py", "and a * a + b * b == c * c", "and a + a + b * b == c * c", "test_series.py"),
+    ("series.py", "and a * a + b * b == c * c", "and a * a + b + b == c * c", "test_series.py"),
+    ("series.py", "and a * a + b * b == c * c", "and a * a + b * b == c + c", "test_series.py"),
+    # series._valid: the records of a band before its first bad record,
+    # yielded only once a helper has raised.
+    ("series.py", "                    yield band[: list(map(id, band)).index(id(record))]\n", "",
+     "test_cli.py"),
+    ("series.py", "                except Exception:\n", "                finally:\n",
      "test_series.py"),
+    # series._indexed: mu (or m) and n each stored in its own slot.
+    ("series.py", "set_i(idx, i)\n            set_n(idx, n)",
+     "set_i(idx, n)\n            set_n(idx, i)", "test_series.py"),
     # core._check_triple: its fast test, clause by clause, and the width
     # clause of the per-field path.
     ("core.py", "type(a) is type(b) is type(c) is int", "type(a) is type(c) is int", "test_core.py"),
@@ -69,6 +84,11 @@ MUTANTS = [
      "test_core.py"),
     ("core.py", "and 0 < c <= U64_MAX and", "and 0 < c and", "test_core.py"),
     ("core.py", "0 < c <= U64_MAX and a * a + b * b == c * c", "0 < c <= U64_MAX", "test_core.py"),
+    ("core.py", "and a > 0 and b > 0 and 0 < c", "and a >= 0 and b > 0 and 0 < c", "test_core.py"),
+    ("core.py", "and a > 0 and b > 0 and 0 < c", "and a > 0 and b >= 0 and 0 < c", "test_core.py"),
+    ("core.py", "and a * a + b * b == c * c", "and a * a - b * b == c * c", "test_core.py"),
+    ("core.py", "and a * a + b * b == c * c", "and a + a + b * b == c * c", "test_core.py"),
+    ("core.py", "and a * a + b * b == c * c", "and a * a + b + b == c * c", "test_core.py"),
     ("core.py", "if v > U64_MAX:", "if v >= U64_MAX:", "test_core.py"),
     # core: the paper's primitivity rule and compose_def's type order.
     ("core.py", "== 1 and gcd(n, r) == 1", "== 1 and gcd(n, r + 2) == 1", "test_core.py"),
@@ -83,8 +103,12 @@ MUTANTS = [
     # classify: verify's oracle ceiling.
     ("classify.py", "if c_max > oracle_ceiling:", "if c_max > oracle_ceiling + 1:", "test_cli.py"),
     # classify: verify's band rule, in the first pass and the naming pass.
-    ("classify.py", "(c - 1) * _BANDS // c_max if c <= c_max else _BANDS\n        h",
-     "c * _BANDS // c_max if c <= c_max else _BANDS\n        h", "test_cli.py"),
+    ("classify.py",
+     "(c - 1) * _BANDS // c_max if c <= c_max else _BANDS\n            h = hash((a, b, c))\n"
+     "            c_gap",
+     "c * _BANDS // c_max if c <= c_max else _BANDS\n            h = hash((a, b, c))\n"
+     "            c_gap",
+     "test_cli.py"),
     ("classify.py", "return ((c - 1) * _BANDS", "return (c * _BANDS", "test_classify.py"),
     ("classify.py", "c_max // _BANDS) + 1", "c_max // _BANDS)", "test_classify.py"),
     ("classify.py", "-(-(max(bands) + 1) * c_max", "-(-max(bands) * c_max", "test_classify.py"),

@@ -2,7 +2,7 @@
 
 import dataclasses
 import importlib
-from itertools import chain, permutations
+from itertools import chain, count, permutations
 from math import gcd
 from unittest import mock
 
@@ -540,25 +540,29 @@ def test_verify_chain_bound_errors():
 
 
 # Fault injectors: each wraps a record source verify_chain calls in classify.
-# Stream records are (c, a, b, i, j); tree multiples are (a, b, c, k, euclid).
+# Stream records are (c, a, b, i, j), yielded in bands (lists); tree
+# multiples are (a, b, c, k, euclid), yielded one at a time.
 
 
-def _drop_11th(stream):
-    return lambda c_max: (r for i, r in enumerate(stream(c_max)) if i != 10)
+def _per_record(edit):
+    # A fault on a stream: its i-th record r overall (from 0) becomes the
+    # records edit(i, r) lists, in r's band.
+    def fault(stream):
+        def faulted(c_max):
+            i = count()
+            for band in stream(c_max):
+                yield [new for r in band for new in edit(next(i), r)]
+
+        return faulted
+
+    return fault
 
 
-def _repeat_11th(stream):
-    return lambda c_max: (
-        r for i, r in enumerate(stream(c_max)) for _ in range(1 + (i == 10))
-    )
-
-
-def _both_leg_orders_of_11th(stream):
-    return lambda c_max: (
-        r
-        for i, (c, a, b, mu, n) in enumerate(stream(c_max))
-        for r in (((c, a, b, mu, n), (c, b, a, mu, n)) if i == 10 else ((c, a, b, mu, n),))
-    )
+_drop_11th = _per_record(lambda i, r: [r] * (i != 10))
+_repeat_11th = _per_record(lambda i, r: [r] * (1 + (i == 10)))
+_both_leg_orders_of_11th = _per_record(
+    lambda i, r: [r, (r[0], r[2], r[1], *r[3:])] if i == 10 else [r]
+)
 
 
 def _flip_mark_at(multiple):
@@ -597,7 +601,7 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
             [
                 (
                     "_lattice_records",
-                    lambda f: lambda c_max: chain([(15, 9, 12, 1, 1)], f(c_max)),
+                    lambda f: lambda c_max: chain([[(15, 9, 12, 1, 1)]], f(c_max)),
                 )
             ],
             (
@@ -634,7 +638,7 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
             [
                 (
                     "_extended_records",
-                    lambda f: lambda c_max: (r for r in f(c_max) if r[:3] != (40, 32, 24)),
+                    _per_record(lambda i, r: [r] * (r[:3] != (40, 32, 24))),
                 )
             ],
             (
@@ -646,7 +650,7 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
             [
                 (
                     "_extended_records",
-                    lambda f: lambda c_max: chain([(30, 18, 24, 1, 1)], f(c_max)),
+                    lambda f: lambda c_max: chain([[(30, 18, 24, 1, 1)]], f(c_max)),
                 )
             ],
             ("1 Euclid triples outside the tree's prediction, e.g. (18, 24, 30)",),
@@ -667,7 +671,7 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
                 (
                     "_lattice_records",
                     lambda f: lambda c_max: chain(
-                        f(c_max), [(505, 217, 456, 4, 12), (1013, 45, 1012, 1, 22)]
+                        f(c_max), [[(505, 217, 456, 4, 12), (1013, 45, 1012, 1, 22)]]
                     ),
                 )
             ],
@@ -683,9 +687,8 @@ _LATTICE_DUPLICATE = "1 duplicate records in the lattice stream, e.g. (33, 56, 6
             [
                 (
                     "_extended_records",
-                    lambda f: lambda c_max: (
-                        (c, b, a, mu, n) if (c, a) == (65, 33) else (c, a, b, mu, n)
-                        for c, a, b, mu, n in f(c_max)
+                    _per_record(
+                        lambda i, r: [(r[0], r[2], r[1], *r[3:]) if r[:2] == (65, 33) else r]
                     ),
                 )
             ],
@@ -784,8 +787,8 @@ def test_verify_chain_naming_budget_counts_every_route(monkeypatch):
     source = module._lattice_records
 
     def repeated(c_max):
-        for record in source(c_max):
-            yield from (record,) * (1 + (record[0] in (65, 145, 265)))
+        for band in source(c_max):
+            yield [r for r in band for _ in range(1 + (r[0] in (65, 145, 265)))]
 
     monkeypatch.setattr(module, "_lattice_records", repeated)
     monkeypatch.setattr(module, "_NAMING_BUDGET", 23)
@@ -866,7 +869,10 @@ def test_faulted_verify_chain_builds_a_triple_only_per_witness(name, fault, monk
 def test_verify_chain_checks_every_record(name, corrupt, message, monkeypatch):
     module = importlib.import_module("triple_lattice.classify")
     source = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda c_max: (corrupt(*r) for r in source(c_max)))
+    if name == "_tree_multiples":
+        monkeypatch.setattr(module, name, lambda c_max: (corrupt(*r) for r in source(c_max)))
+    else:
+        monkeypatch.setattr(module, name, _per_record(lambda i, r: [corrupt(*r)])(source))
     with pytest.raises(ValueError) as info:
         verify_chain(500)
     assert str(info.value) == message

@@ -549,15 +549,16 @@ RECORD_SOURCES = {
 
 def corrupt_form(monkeypatch, name, point):
     # Make every record source that cli reads and whose records follow the
-    # formula name yield c + 2 at one point (i, j).  At the points used no
-    # other record's c lies in (c, c + 2], so the bad record keeps its place.
+    # formula name yield c + 2 at one point (i, j), in its band.  At the
+    # points used no other record's c lies in (c, c + 2], so the bad record
+    # keeps its place.
     for source_name in RECORD_SOURCES[name]:
         source = getattr(cli, source_name)
 
         def corrupted(*args, source=source):
             return (
-                (c + 2 if (i, j) == point else c, a, b, i, j)
-                for c, a, b, i, j in source(*args)
+                [(c + 2 if (i, j) == point else c, a, b, i, j) for c, a, b, i, j in band]
+                for band in source(*args)
             )
 
         monkeypatch.setattr(cli, source_name, corrupted)
@@ -575,7 +576,7 @@ CORRUPTED_RECORDS = [
      "error: not a Pythagorean triple: 9^2 + 40^2 != 43^2\n"),
     ("lattice", (3, 1), ("family", "platonic"), 2,
      "error: not a Pythagorean triple: 35^2 + 12^2 != 39^2\n"),
-    # Some 700 rows in, past two full batches of json-lines and csv lines.
+    # Some 700 rows in, in the middle of a band.
     ("lattice", (14, 27), ("enum", "--c-max", "5000"), 700,
      "error: not a Pythagorean triple: 2187^2 + 2916^2 != 3647^2\n"),
 ]
@@ -612,8 +613,10 @@ def test_every_streamed_record_is_checked(run, monkeypatch, form, point, argv, b
 def test_every_streamed_index_is_checked(run, monkeypatch, source, corrupt, argv, err):
     # The first bad record is the 11th in both modes.
     clean = run(*argv)[1].splitlines()
-    records = getattr(cli, source)
-    monkeypatch.setattr(cli, source, lambda c_max: (corrupt(*r) for r in records(c_max)))
+    bands = getattr(cli, source)
+    monkeypatch.setattr(
+        cli, source, lambda c_max: ([corrupt(*r) for r in band] for band in bands(c_max))
+    )
     code, out, error = run(*argv)
     assert (code, error) == (2, err)
     assert out.splitlines() == clean[:10]
@@ -718,20 +721,21 @@ def test_family_past_the_width_fails_before_its_first_row(kind, count):
 
 @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
 def test_emit_writes_the_first_row_before_it_asks_for_the_second(monkeypatch, fmt):
+    # A stream's first band is its first row alone; each band is written
+    # before the next is asked for.
     line = ('{{"k":{}}}\n' if fmt == "json-lines" else "{}\n").format
     sink = _WriteOnly()
     monkeypatch.setattr(sys, "stdout", sink)
     seen = []
 
-    def rows():
-        for k in range(1000):
-            if k == 1:
-                seen.append(sink.text)
-            yield (k,)
+    def bands():
+        for start, stop in ((0, 1), (1, 257), (257, 1000)):
+            seen.append(sink.text)
+            yield [(k,) for k in range(start, stop)]
 
-    cli._emit(rows(), ("k",), fmt)
+    cli._emit(bands(), ("k",), fmt)
     header = "k\n" if fmt == "csv" else ""
-    assert seen == [header + line(0)]
+    assert seen == [header + "".join(map(line, range(k))) for k in (0, 1, 257)]
     assert sink.text == header + "".join(map(line, range(1000)))
 
 
@@ -748,14 +752,15 @@ class _Chunks(_WriteOnly):
 
 @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
 def test_emit_fills_each_batch_as_one_template_per_row(monkeypatch, fmt):
-    # 700 rows of int and text cells run through the first batch of one
-    # row, two full batches and a remainder, each one write; a batch's
+    # 700 rows of int and text cells in bands of one row, 256 rows, none,
+    # 256 rows and the rest: each band that holds a row is one write, whose
     # lines must equal the row template filled once per row.
     fields = ("k", "word", "square", "flag")
     rows = [(k, f'"w{k}"', k * k, "true" if k % 3 else "false") for k in range(700)]
+    edges = [(0, 1), (1, 257), (257, 257), (257, 513), (513, 700)]
     sink = _Chunks()
     monkeypatch.setattr(sys, "stdout", sink)
-    cli._emit(iter(rows), fields, fmt)
+    cli._emit(iter([rows[start:stop] for start, stop in edges]), fields, fmt)
     if fmt == "json-lines":
         header, template = [], '{"k":%s,"word":%s,"square":%s,"flag":%s}\n'
     else:
@@ -947,7 +952,7 @@ def test_enum_csv_has_header_naming_fields(run):
 
 
 def test_table_widens_a_column_only_past_its_sizing_rows(capsys, monkeypatch):
-    records = [(1, 2), (333, 4), (5, 6)]
+    records = [[(1, 2)], [(333, 4), (5, 6)]]
     cli._emit(records, ("x", "y"), "table")
     assert capsys.readouterr().out == "x    y\n1    2\n333  4\n5    6\n"
     monkeypatch.setattr(cli, "TABLE_SIZING_ROWS", 1)

@@ -139,6 +139,15 @@ _CONTRACT_CASES = [
     # send these to the per-field path.
     (Triple, (-3, 4, 5), ValueError, "a must be >= 1, got -3"),
     (Triple, (3, -4, 5), ValueError, "b must be >= 1, got -4"),
+    # Each passes the fast test under one edit to it: a zero leg with
+    # a >= 0 or b >= 0, a leg swapped with c with a*a - b*b, and a + a or
+    # b + b for a leg's square.  (1, 1, 1) passes it with c + c for c's.
+    (Triple, (0, 5, 5), ValueError, "a must be >= 1, got 0"),
+    (Triple, (5, 0, 5), ValueError, "b must be >= 1, got 0"),
+    (Triple, (5, 4, 3), ValueError, "not a Pythagorean triple: 5^2 + 4^2 != 3^2"),
+    (Triple, (4, 1, 3), ValueError, "not a Pythagorean triple: 4^2 + 1^2 != 3^2"),
+    (Triple, (1, 4, 3), ValueError, "not a Pythagorean triple: 1^2 + 4^2 != 3^2"),
+    (Triple, (1, 1, 1), ValueError, "not a Pythagorean triple: 1^2 + 1^2 != 1^2"),
 ]
 
 

@@ -243,7 +243,8 @@ def test_merge_matches_sorted_grid_at_every_bound(enumerate_indexed, point):
     records = _RECORDS[enumerate_indexed]
     for c_max in sorted({*range(1, 3001), *_HEAD_BOUNDS}):
         expected = grid[: bisect_right(hypotenuses, c_max)]
-        assert list(records(c_max)) == [(c, a, b, i, j) for i, j, a, b, c in expected], c_max
+        got = [record for band in records(c_max) for record in band]
+        assert got == [(c, a, b, i, j) for i, j, a, b, c in expected], c_max
         if c_max <= 400 or c_max in _HEAD_BOUNDS:
             stream = enumerate_indexed(c_max)
             got = [(*slot_values(idx).values(), t.a, t.b, t.c) for idx, t in stream]
@@ -252,8 +253,9 @@ def test_merge_matches_sorted_grid_at_every_bound(enumerate_indexed, point):
 
 @pytest.mark.parametrize("step", [1, 2])
 def test_merge_yields_column_1_head_before_any_band(step):
-    # The first record leaves before any band is built: one _abc call,
-    # column 1's head, and no other column touched, however far c_max is.
+    # The first record leaves alone, as the first band, before any other
+    # band is built: one _abc call, column 1's head, and no other column
+    # touched, however far c_max is.
     calls, abc = [], series._abc
 
     def counted(r, n):
@@ -261,8 +263,14 @@ def test_merge_yields_column_1_head_before_any_band(step):
         return abc(r, n)
 
     with mock.patch.object(series, "_abc", counted):
-        assert next(series._merge(step, 10**10)) == (5, 3, 4, 1, 1)
+        assert next(series._merge(step, 10**10)) == [(5, 3, 4, 1, 1)]
     assert calls == [(1, 1)]
+
+
+@pytest.mark.parametrize("records", [series._odd_records, series._even_records])
+def test_walk_yields_the_first_record_as_a_band_of_its_own(records):
+    # The first record waits on no other, however far c_max is.
+    assert next(records(1, U64_MAX)) == [(5, 3, 4, 1, 1)]
 
 
 # -------------------------------------------------------------------- families
@@ -422,25 +430,34 @@ def _same_failure(got, want):
 
 
 def _one_example_per_clause(test):
-    # A passing record and then one that fails a single clause of the
-    # record rule, for every clause: each field's type and sign, the width
-    # and the identity.  Random draws reach some clauses only rarely.
+    # A passing record and then, in the same band, one that fails a single
+    # clause of the record rule, for every clause: each field's type and
+    # sign, the width and the identity.  Random draws reach some clauses
+    # only rarely.  The next six each pass the rule with one edit to it: a
+    # zero leg with a >= 0 or b >= 0, a swapped leg and hypotenuse with
+    # a*a - b*b, a + a or b + b for a leg's square, and c + c for c's.  The
+    # last, with a bool index field, fails the inline test and passes the
+    # helpers, so it stays in its band.
     ok, big = (5, 3, 4, 1, 1), U64_MAX // 5 + 1
     bad = [(5 * big, 3 * big, 4 * big, 1, 1), (7, 3, 4, 1, 1)]
     for at in range(5):
         bad += [ok[:at] + (v,) + ok[at + 1:] for v in (float(ok[at]), -ok[at])]
+    bad += [(5, 0, 5, 1, 1), (5, 5, 0, 1, 1), (3, 5, 4, 1, 1), (3, 4, 1, 1, 1),
+            (3, 1, 4, 1, 1), (1, 1, 1, 1, 1), (5, 3, 4, True, 1)]
     for record in bad:
-        test = example(records=[ok, record])(test)
+        test = example(bands=[[ok, record]])(test)
     return test
 
 
 @_one_example_per_clause
-@given(records=st.lists(_records(), max_size=6))
-def test_inline_record_tests_accept_exactly_what_the_helpers_accept(records):
+@given(bands=st.lists(st.lists(_records(), max_size=3), max_size=3))
+def test_inline_record_tests_accept_exactly_what_the_helpers_accept(bands):
+    # The drawn records, split into bands as a record source yields them.
+    records = [record for band in bands for record in band]
     source = mock.patch.multiple(
         series,
-        _walk=lambda *args: iter(records),
-        _merge=lambda *args: iter(records),
+        _walk=lambda *args: iter(bands),
+        _merge=lambda *args: iter(bands),
     )
     for name, (stream, index) in _OBJECT_STREAMS.items():
         field = None if index is None else "m" if index is LatticeIndex else "mu"
@@ -456,15 +473,25 @@ def test_inline_record_tests_accept_exactly_what_the_helpers_accept(records):
     verify = importlib.import_module("triple_lattice.classify")
     for field, patched in (("m", "_lattice_records"), ("mu", "_extended_records")):
         passed, raised = _helpers_on(records, field)
-        got, failure = _drain(series._valid(iter(records), field))
+        got, failure = _drain(series._valid(iter(bands), field))
         _same_failure(failure, raised)
-        # The records that pass come out as they went in, not repacked.
-        assert len(got) == len(passed) and all(map(operator.is_, got, records))
-        rows, failure = _drain(cli._rows(iter(records), field))
+        # The records that pass come out as they went in, not repacked: each
+        # band the same list, up to the band of the first record that fails,
+        # of which a list of the records before that one comes out.
+        flat = [record for band in got for record in band]
+        assert len(flat) == len(passed) and all(map(operator.is_, flat, records))
+        whole = len(got) - (failure is not None)
+        assert all(map(operator.is_, got[:whole], bands))
+        if failure is None:
+            assert len(got) == len(bands)
+        else:
+            assert got[whole] == bands[whole][: len(got[whole])]
+        rows, failure = _drain(cli._rows(iter(bands), field))
         _same_failure(failure, raised)
+        rows = [row for band in rows for row in band]
         assert [row[:5] for row in rows] == [(i, n, a, b, c) for c, a, b, i, n in passed]
         # verify_chain reads the drawn records as that field's stream; its
         # other two routes stay as they are.
-        with mock.patch.object(verify, patched, lambda c_max: iter(records)):
+        with mock.patch.object(verify, patched, lambda c_max: iter(bands)):
             _, failure = _drain(map(verify.verify_chain, [500]))
         _same_failure(failure, raised)

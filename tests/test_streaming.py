@@ -10,6 +10,7 @@ import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -66,7 +67,7 @@ for c_max in (10**10, U64_MAX):
     peaks[c_max] = traced(
         lambda: sum(1 for pair, want in zip(stream(c_max), expected) if pair == want)
     )
-peaks["drained"] = traced(lambda: sum(1 for _ in records(5 * 10**5)))
+peaks["drained"] = traced(lambda: sum(map(len, records(5 * 10**5))))
 print(json.dumps(peaks))
 """
 
@@ -159,6 +160,17 @@ def test_closed_pipe_is_a_clean_exit():
     assert json.loads(first) == {"m": 1, "n": 1, "a": 3, "b": 4, "c": 5, "primitive": True}
     assert proc.returncode == 0
     assert "Traceback" not in err
+
+
+def test_ctrl_c_ends_a_stream_without_a_traceback():
+    # SIGINT after the first row of a stream that would run for hours: the
+    # process dies by SIGINT, as a shell expects, and writes no stderr.
+    proc = _child("-m", "triple_lattice.cli", "enum", "--c-max", str(10**10))
+    first = proc.stdout.readline()
+    proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=TIMEOUT_S)
+    assert json.loads(first) == {"m": 1, "n": 1, "a": 3, "b": 4, "c": 5, "primitive": True}
+    assert (proc.returncode, err) == (-signal.SIGINT, "")
 
 
 def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):
